@@ -21,8 +21,10 @@
 //!   walks the model's phase graph per decode step (O(`gen_len`) graph
 //!   builds), and the router priced every replica on every arrival. A
 //!   [`PredictCache`] memoizes service and prefill predictions per
-//!   (backend, model, batch, shape); the memoized value is the *same
-//!   fold* the legacy engine computes, so reuse is bit-exact.
+//!   (backend, model, batch, shape), and prices each decode step once
+//!   per (backend, model, batch, context length) in a [`StepTable`]; the
+//!   memoized value is the *same fold* the legacy engine computes, so
+//!   reuse is bit-exact.
 //! - **Per-event allocation** — router snapshots (`Vec<ReplicaView>` with
 //!   a fresh name `String` per replica), in-flight records moved through
 //!   queues by value. Views are now built once and refreshed in place,
@@ -60,7 +62,7 @@ use crate::router::{HealthSignal, ReplicaView, RouterPolicy};
 use crate::slab::Slab;
 use llmsim_core::resilience::SimRng;
 use llmsim_core::trace::{NullSink, SpanOutcome, SpanRecord, SpanSink};
-use llmsim_core::CostModel;
+use llmsim_core::{CostModel, StepTable};
 use llmsim_model::ModelConfig;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -290,9 +292,10 @@ impl ClusterConfig {
 /// this (through [`PredictCache`] on the fast path), so prediction error
 /// can only come from batch-width changes after routing, never from the
 /// pricing itself. The fold order is load-bearing: the memoized fast path
-/// caches the *result* of this exact fold, never a re-associated prefix
-/// sum, because float addition order is part of the byte-identity
-/// contract with the legacy engine.
+/// computes this exact fold, reading each step from a [`StepTable`], and
+/// caches its *result*, never a re-associated prefix sum, because float
+/// addition order is part of the byte-identity contract with the legacy
+/// engine.
 pub(crate) fn predict_service_s(
     backend: &dyn CostModel,
     model: &ModelConfig,
@@ -311,21 +314,28 @@ pub(crate) fn predict_service_s(
 /// Memo of cost-model predictions, keyed by (backend group, model index,
 /// batch, prompt, gen). Replicas sharing one `Arc`'d backend share one
 /// group, so an 8-replica homogeneous fleet prices each distinct request
-/// shape once instead of 8× per arrival. `BTreeMap` rather than a hash
-/// map: iteration order never matters here (the memo is only probed), but
-/// the workspace determinism lint (D001) bans randomized-layout
-/// containers from sim-state crates outright, and at the few thousand
-/// distinct shapes a quantized trace produces the tree's O(log n) probes
-/// are already noise against the O(`gen_len`) graph walks they replace.
+/// shape once instead of 8× per arrival. A service miss folds its decode
+/// steps from a [`StepTable`] per group × model, so each `(batch,
+/// kv_len)` step is priced once per run however many request shapes walk
+/// it; the fold itself is the one [`predict_service_s`] computes, with
+/// only the source of each addend changed, so hits and misses alike are
+/// bit-exact. `BTreeMap` rather than a hash map: iteration order never
+/// matters here (the memo is only probed), but the workspace determinism
+/// lint (D001) bans randomized-layout containers from sim-state crates
+/// outright.
 struct PredictCache {
     service: BTreeMap<(u32, u32, u64, u64, u64), f64>,
     prefill: BTreeMap<(u32, u32, u64, u64), f64>,
+    /// Decode-step prices: `steps[group * models + model]`.
+    steps: Vec<StepTable>,
+    /// Number of served models (the stride of `steps`).
+    models: usize,
     /// Backend-identity group of each replica (`Arc::ptr_eq` classes).
     groups: Vec<u32>,
 }
 
 impl PredictCache {
-    fn new(replicas: &[ReplicaConfig]) -> Self {
+    fn new(replicas: &[ReplicaConfig], models: usize) -> Self {
         let mut reps: Vec<&Arc<dyn CostModel + Send + Sync>> = Vec::new();
         let groups = replicas
             .iter()
@@ -341,6 +351,8 @@ impl PredictCache {
         PredictCache {
             service: BTreeMap::new(),
             prefill: BTreeMap::new(),
+            steps: vec![StepTable::new(); reps.len() * models],
+            models,
             groups,
         }
     }
@@ -357,17 +369,22 @@ impl PredictCache {
         prompt_len: u64,
         gen_len: u64,
     ) -> f64 {
-        let key = (
-            self.groups[idx],
-            model_ix as u32,
+        let group = self.groups[idx];
+        let key = (group, model_ix as u32, batch, prompt_len, gen_len);
+        if let Some(&service) = self.service.get(&key) {
+            return service;
+        }
+        let prefill = self.prefill(idx, backend, model_ix, model, batch, prompt_len);
+        let service = self.steps[group as usize * self.models + model_ix].fold_steps(
+            backend,
+            model,
             batch,
-            prompt_len,
-            gen_len,
+            prompt_len + 1,
+            gen_len.saturating_sub(1),
+            prefill,
         );
-        *self
-            .service
-            .entry(key)
-            .or_insert_with(|| predict_service_s(backend, model, batch, prompt_len, gen_len))
+        self.service.insert(key, service);
+        service
     }
 
     /// Memoized prefill time for replica `idx`'s backend.
@@ -1195,7 +1212,7 @@ pub fn simulate_fleet_traced(
                 .sum::<usize>()
                 .min(requests.len().max(1)),
         ),
-        cache: PredictCache::new(&config.replicas),
+        cache: PredictCache::new(&config.replicas, config.models.len()),
         views: replicas
             .iter()
             .enumerate()

@@ -12,9 +12,13 @@
 //! youngest co-resident sequence and requeues it (wasted-token accounting
 //! mirrors PR 6's crash path).
 //!
-//! Everything here is deterministic: the pool and LRU index are `BTreeMap`s
-//! (lint D001), LRU ages come from a monotonic use counter, and all sizing
-//! is integer block arithmetic. The engine asserts block conservation
+//! The prefix pool is indexed by chain: one `BTreeMap` lookup per
+//! `(tag, ident)` chain (lint D001 keeps hash maps out), then a `Vec` of
+//! block slots read by position. Resident blocks live in a slab threaded
+//! by an intrusive doubly linked LRU list over the cached ones; a block
+//! joins the newest end exactly when its refcount drops to zero, so list
+//! order is age order. Everything here is deterministic, and all sizing is
+//! integer block arithmetic. The engine asserts block conservation
 //! (`free + pinned + cached + private == total`) after every event.
 
 use crate::engine::ClusterRequest;
@@ -134,15 +138,162 @@ fn chain_ident(model: usize, id: u64) -> u64 {
     (model as u64) << 48 | (id & 0xFFFF_FFFF_FFFF)
 }
 
-/// A resident shareable block in a replica's prefix pool.
+/// Identity of a chain: the `(tag, ident)` its block keys share.
+type ChainId = (u8, u64);
+
+/// "No slot": an empty chain position, or the end of the LRU list.
+const NIL: u32 = u32::MAX;
+
+/// A resident shareable block: one slot of the [`BlockSlab`].
 #[derive(Debug, Clone, Copy)]
 struct PrefixBlock {
+    /// The block's chain and position (eviction finds its chain by it).
+    key: BlockKey,
     /// In-flight sequences currently pinning this block. Zero means the
-    /// block is cached (evictable); nonzero means pinned.
+    /// block is cached (evictable, on the LRU list); nonzero means pinned.
     refs: u32,
-    /// Monotonic age for LRU ordering; refreshed whenever the block drops
-    /// back to cached.
-    last_use: u64,
+    /// Next older cached block on the LRU list (`NIL` at the oldest).
+    older: u32,
+    /// Next newer cached block on the LRU list (`NIL` at the newest).
+    newer: u32,
+}
+
+/// The resident blocks of one chain, by position.
+#[derive(Debug, Clone, Default)]
+struct Chain {
+    /// `slots[pos]` = slab slot of block `pos`, or `NIL` when that
+    /// position is not resident. Ends on a resident block.
+    slots: Vec<u32>,
+    /// Resident blocks; the chain leaves the index when this reaches 0.
+    resident: u32,
+}
+
+/// Resident shareable blocks in a slab, threaded by an intrusive doubly
+/// linked LRU list over the cached ones. A block enters the list at the
+/// newest end exactly when its refcount drops to zero (donation or the
+/// last unpin), so list order is age order without storing ages.
+#[derive(Debug, Clone)]
+struct BlockSlab {
+    blocks: Vec<PrefixBlock>,
+    /// Slots of `blocks` free for reuse.
+    vacant: Vec<u32>,
+    /// Oldest cached block, or `NIL`.
+    oldest: u32,
+    /// Newest cached block, or `NIL`.
+    newest: u32,
+    /// Blocks on the LRU list.
+    listed: u64,
+}
+
+impl BlockSlab {
+    fn new() -> Self {
+        BlockSlab {
+            blocks: Vec::new(),
+            vacant: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+            listed: 0,
+        }
+    }
+
+    /// Resident blocks, pinned and cached alike.
+    fn resident(&self) -> u64 {
+        (self.blocks.len() - self.vacant.len()) as u64
+    }
+
+    /// Stores a new unreferenced, unlisted block and returns its slot.
+    fn insert(&mut self, key: BlockKey) -> u32 {
+        let block = PrefixBlock {
+            key,
+            refs: 0,
+            older: NIL,
+            newer: NIL,
+        };
+        if let Some(slot) = self.vacant.pop() {
+            self.blocks[slot as usize] = block;
+            slot
+        } else {
+            assert!(
+                self.blocks.len() < NIL as usize,
+                "prefix slab slots are u32 indices"
+            );
+            self.blocks.push(block);
+            (self.blocks.len() - 1) as u32
+        }
+    }
+
+    /// Appends `slot` to the list as the newest cached block.
+    fn push_newest(&mut self, slot: u32) {
+        let prev = self.newest;
+        let block = &mut self.blocks[slot as usize];
+        block.older = prev;
+        block.newer = NIL;
+        if prev == NIL {
+            self.oldest = slot;
+        } else {
+            self.blocks[prev as usize].newer = slot;
+        }
+        self.newest = slot;
+        self.listed += 1;
+    }
+
+    /// Takes `slot` off the list, wherever it sits.
+    fn unlink(&mut self, slot: u32) {
+        let PrefixBlock { older, newer, .. } = self.blocks[slot as usize];
+        if older == NIL {
+            self.oldest = newer;
+        } else {
+            self.blocks[older as usize].newer = newer;
+        }
+        if newer == NIL {
+            self.newest = older;
+        } else {
+            self.blocks[newer as usize].older = older;
+        }
+        self.listed -= 1;
+    }
+
+    /// Takes the oldest cached block off the list and out of the slab,
+    /// returning its key.
+    fn evict_oldest(&mut self) -> Option<BlockKey> {
+        let slot = self.oldest;
+        if slot == NIL {
+            return None;
+        }
+        self.unlink(slot);
+        self.vacant.push(slot);
+        Some(self.blocks[slot as usize].key)
+    }
+
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.vacant.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
+        self.listed = 0;
+    }
+}
+
+/// Slab slot of the resident block `key`, or `NIL`. `last` carries the
+/// previous chain lookup, so walking one request's blocks in position
+/// order looks each of its (at most two) chains up once.
+fn resident_slot<'a>(
+    chains: &'a BTreeMap<ChainId, Chain>,
+    last: &mut Option<(ChainId, Option<&'a Chain>)>,
+    key: BlockKey,
+) -> u32 {
+    let id = (key.0, key.1);
+    let chain = match *last {
+        Some((seen, chain)) if seen == id => chain,
+        _ => {
+            let chain = chains.get(&id);
+            *last = Some((id, chain));
+            chain
+        }
+    };
+    chain
+        .and_then(|c| c.slots.get(key.2 as usize).copied())
+        .unwrap_or(NIL)
 }
 
 /// Per-sequence block accounting, carried on the in-flight record.
@@ -156,8 +307,8 @@ pub(crate) struct KvSeq {
     pub final_blocks: u64,
 }
 
-/// A replica's paged KV pool: block counters, the refcounted prefix pool,
-/// and its LRU index, plus occupancy telemetry.
+/// A replica's paged KV pool: block counters, the refcounted prefix pool
+/// indexed by chain, and its LRU list, plus occupancy telemetry.
 #[derive(Debug, Clone)]
 pub(crate) struct KvState {
     /// Tokens per block (copied from [`KvConfig`]).
@@ -173,12 +324,11 @@ pub(crate) struct KvState {
     /// Blocks owned by exactly one in-flight sequence.
     pub private_blocks: u64,
     prefix_caching: bool,
-    /// Resident shareable blocks, pinned and cached alike.
-    pool: BTreeMap<BlockKey, PrefixBlock>,
-    /// Evictable blocks ordered oldest-first: `(last_use, key)`.
-    lru: BTreeMap<(u64, BlockKey), ()>,
-    /// Monotonic LRU clock.
-    use_counter: u64,
+    /// Chains with at least one resident block, by `(tag, ident)`.
+    chains: BTreeMap<ChainId, Chain>,
+    /// Resident shareable blocks, pinned and cached alike, and the LRU
+    /// list over the cached ones.
+    slab: BlockSlab,
     /// `∫ in_use dt` for mean-occupancy reporting.
     occ_integral: f64,
     /// Timestamp of the last accounting change.
@@ -197,9 +347,8 @@ impl KvState {
             cached_blocks: 0,
             private_blocks: 0,
             prefix_caching,
-            pool: BTreeMap::new(),
-            lru: BTreeMap::new(),
-            use_counter: 0,
+            chains: BTreeMap::new(),
+            slab: BlockSlab::new(),
             occ_integral: 0.0,
             last_note_s: 0.0,
             peak_in_use: 0,
@@ -229,11 +378,6 @@ impl KvState {
         self.peak_in_use = self.peak_in_use.max(self.in_use());
     }
 
-    fn next_use(&mut self) -> u64 {
-        self.use_counter += 1;
-        self.use_counter
-    }
-
     /// Mean occupancy fraction over a run of `makespan_s`.
     pub(crate) fn mean_occupancy(&self, makespan_s: f64) -> f64 {
         if makespan_s <= 0.0 || self.total_blocks == 0 {
@@ -259,10 +403,11 @@ impl KvState {
             return 0;
         }
         let max_blocks = req.prompt_len / self.block_tokens.max(1); // full blocks only
+        let mut last = None;
         let mut hits = 0;
         while hits < max_blocks {
             match chain_key(req, hits, self.block_tokens) {
-                Some(key) if self.pool.contains_key(&key) => hits += 1,
+                Some(key) if resident_slot(&self.chains, &mut last, key) != NIL => hits += 1,
                 _ => break,
             }
         }
@@ -270,18 +415,15 @@ impl KvState {
     }
 
     /// Whether any block of `req`'s session chain is resident — the
-    /// router's cheap "is this session's context here" signal. A range
-    /// probe, not a block-0 lookup: a session whose opening blocks are
-    /// covered by a shared system prefix starts its own chain later.
+    /// router's cheap "is this session's context here" signal. A chain
+    /// lookup, not a block-0 lookup: a session whose opening blocks are
+    /// covered by a shared system prefix starts its own chain later, and
+    /// a chain stays indexed exactly while it holds a resident block.
     pub(crate) fn session_resident(&self, req: &ClusterRequest) -> bool {
-        if req.session == 0 {
-            return false;
-        }
-        let ident = chain_ident(req.model, req.session);
-        self.pool
-            .range((1, ident, 0)..=(1, ident, u32::MAX))
-            .next()
-            .is_some()
+        req.session != 0
+            && self
+                .chains
+                .contains_key(&(1, chain_ident(req.model, req.session)))
     }
 
     /// Whether `needed` fresh blocks can be produced from free + evictable
@@ -295,42 +437,38 @@ impl KvState {
     /// exist.
     pub(crate) fn pin_hits(&mut self, req: &ClusterRequest, hits: u64, now_s: f64) {
         self.note(now_s);
+        let mut last = None;
         for k in 0..hits {
             let Some(key) = chain_key(req, k, self.block_tokens) else {
                 unreachable!("probed block has a chain key")
             };
-            let Some(block) = self.pool.get_mut(&key) else {
-                unreachable!("probed block is resident")
-            };
-            if block.refs == 0 {
-                self.lru.remove(&(block.last_use, key));
+            let slot = resident_slot(&self.chains, &mut last, key);
+            assert!(slot != NIL, "probed block is resident");
+            if self.slab.blocks[slot as usize].refs == 0 {
+                self.slab.unlink(slot);
                 self.cached_blocks -= 1;
                 self.pinned_blocks += 1;
             }
-            block.refs += 1;
+            self.slab.blocks[slot as usize].refs += 1;
         }
         self.bump_peak();
     }
 
     /// Drops `hits` pins taken by [`Self::pin_hits`]; blocks whose
-    /// refcount hits zero become cached with fresh LRU age.
+    /// refcount hits zero become cached as the newest LRU entries.
     pub(crate) fn release_hits(&mut self, req: &ClusterRequest, hits: u64, now_s: f64) {
         self.note(now_s);
+        let mut last = None;
         for k in 0..hits {
             let Some(key) = chain_key(req, k, self.block_tokens) else {
                 unreachable!("pinned block has a chain key")
             };
-            let Some(block) = self.pool.get_mut(&key) else {
-                unreachable!("pinned block is resident")
-            };
+            let slot = resident_slot(&self.chains, &mut last, key);
+            assert!(slot != NIL, "pinned block is resident");
+            let block = &mut self.slab.blocks[slot as usize];
             block.refs -= 1;
             if block.refs == 0 {
-                let age = self.next_use();
-                let Some(block) = self.pool.get_mut(&key) else {
-                    unreachable!("still resident")
-                };
-                block.last_use = age;
-                self.lru.insert((age, key), ());
+                self.slab.push_newest(slot);
                 self.pinned_blocks -= 1;
                 self.cached_blocks += 1;
             }
@@ -350,15 +488,28 @@ impl KvState {
         self.bump_peak();
     }
 
-    /// Evicts the least-recently-used cached block.
-    fn evict_one(&mut self) {
-        let Some(&entry) = self.lru.keys().next() else {
+    /// Evicts the least-recently-used cached block and returns its key.
+    /// A chain whose last resident block goes leaves the index.
+    fn evict_one(&mut self) -> BlockKey {
+        let Some(key) = self.slab.evict_oldest() else {
             unreachable!("eviction requires a cached block")
         };
-        self.lru.remove(&entry);
-        self.pool.remove(&entry.1);
+        let id = (key.0, key.1);
+        let Some(chain) = self.chains.get_mut(&id) else {
+            unreachable!("a resident block's chain is indexed")
+        };
+        chain.slots[key.2 as usize] = NIL;
+        chain.resident -= 1;
+        if chain.resident == 0 {
+            self.chains.remove(&id);
+        } else {
+            while chain.slots.last() == Some(&NIL) {
+                chain.slots.pop();
+            }
+        }
         self.cached_blocks -= 1;
         self.free_blocks += 1;
+        key
     }
 
     /// Returns `n` private blocks to the free list (preemption, hedge-loser
@@ -381,29 +532,46 @@ impl KvState {
         now_s: f64,
     ) {
         self.note(now_s);
-        for k in hit_blocks..hit_blocks + private_blocks {
-            self.private_blocks -= 1;
+        let end = hit_blocks + private_blocks;
+        let mut k = hit_blocks;
+        while k < end {
             let key = if self.prefix_caching {
                 chain_key(req, k, self.block_tokens)
             } else {
                 None
             };
-            match key {
-                Some(key) if !self.pool.contains_key(&key) => {
-                    let age = self.next_use();
-                    self.pool.insert(
-                        key,
-                        PrefixBlock {
-                            refs: 0,
-                            last_use: age,
-                        },
-                    );
-                    self.lru.insert((age, key), ());
-                    self.cached_blocks += 1;
+            // Anonymous position: nothing can share the block.
+            let Some((tag, ident, _)) = key else {
+                self.private_blocks -= 1;
+                self.free_blocks += 1;
+                k += 1;
+                continue;
+            };
+            // One chain lookup for the whole run of positions it covers.
+            let chain = self.chains.entry((tag, ident)).or_default();
+            while k < end {
+                let Some(key) = chain_key(req, k, self.block_tokens)
+                    .filter(|key| (key.0, key.1) == (tag, ident))
+                else {
+                    break;
+                };
+                self.private_blocks -= 1;
+                k += 1;
+                let pos = key.2 as usize;
+                if chain.slots.get(pos).is_some_and(|&slot| slot != NIL) {
+                    // Another sequence already cached this chain block:
+                    // our copy is redundant.
+                    self.free_blocks += 1;
+                    continue;
                 }
-                // Anonymous position, or another sequence already cached
-                // this chain block: our copy is redundant.
-                _ => self.free_blocks += 1,
+                if chain.slots.len() <= pos {
+                    chain.slots.resize(pos + 1, NIL);
+                }
+                let slot = self.slab.insert(key);
+                self.slab.push_newest(slot);
+                chain.slots[pos] = slot;
+                chain.resident += 1;
+                self.cached_blocks += 1;
             }
         }
     }
@@ -411,8 +579,8 @@ impl KvState {
     /// Crash recovery: host memory is gone, so the whole pool resets.
     pub(crate) fn reset(&mut self, now_s: f64) {
         self.note(now_s);
-        self.pool.clear();
-        self.lru.clear();
+        self.chains.clear();
+        self.slab.clear();
         self.free_blocks = self.total_blocks;
         self.pinned_blocks = 0;
         self.cached_blocks = 0;
@@ -420,8 +588,9 @@ impl KvState {
     }
 
     /// Block-conservation invariant, asserted by the engine after every
-    /// event: every block is in exactly one of the four states, and the
-    /// pool indexes exactly the shared (pinned + cached) blocks.
+    /// event: every block is in exactly one of the four states, the slab
+    /// holds exactly the shared (pinned + cached) blocks, and the LRU list
+    /// exactly the cached ones.
     pub(crate) fn assert_conserved(&self) {
         assert_eq!(
             self.free_blocks + self.pinned_blocks + self.cached_blocks + self.private_blocks,
@@ -434,21 +603,259 @@ impl KvState {
             self.total_blocks,
         );
         assert_eq!(
-            self.pool.len() as u64,
+            self.slab.resident(),
             self.pinned_blocks + self.cached_blocks,
             "prefix pool out of sync with shared-block counters",
         );
         assert_eq!(
-            self.lru.len() as u64,
-            self.cached_blocks,
-            "LRU index out of sync with cached-block counter",
+            self.slab.listed, self.cached_blocks,
+            "LRU list out of sync with cached-block counter",
         );
+    }
+}
+
+/// Read-outs of the index for the differential test, each checking the
+/// structure's own invariants as it walks.
+#[cfg(test)]
+impl KvState {
+    /// Resident blocks with their refcounts, in key order.
+    fn resident_blocks(&self) -> Vec<(BlockKey, u32)> {
+        let mut out = Vec::new();
+        for (&(tag, ident), chain) in &self.chains {
+            assert!(chain.slots.last().is_some_and(|&slot| slot != NIL));
+            let mut resident = 0;
+            for (pos, &slot) in chain.slots.iter().enumerate() {
+                if slot != NIL {
+                    let block = self.slab.blocks[slot as usize];
+                    assert_eq!(block.key, (tag, ident, pos as u32));
+                    out.push((block.key, block.refs));
+                    resident += 1;
+                }
+            }
+            assert_eq!(resident, chain.resident);
+        }
+        out
+    }
+
+    /// Walks the LRU list oldest to newest, checking both links of every
+    /// node and the list length, and returns the cached keys in order.
+    fn lru_keys(&self) -> Vec<BlockKey> {
+        let mut keys = Vec::new();
+        let mut prev = NIL;
+        let mut slot = self.slab.oldest;
+        while slot != NIL {
+            let block = self.slab.blocks[slot as usize];
+            assert_eq!(block.older, prev);
+            assert_eq!(block.refs, 0, "only cached blocks are listed");
+            keys.push(block.key);
+            prev = slot;
+            slot = block.newer;
+        }
+        assert_eq!(prev, self.slab.newest);
+        assert_eq!(keys.len() as u64, self.slab.listed);
+        keys
+    }
+}
+
+/// The pool as first written, kept as the reference [`KvState`] is held
+/// to: a `BTreeMap` from block key to block, and a `(last_use, key)`
+/// `BTreeMap` as the LRU index, with ages from a monotonic use counter.
+#[cfg(test)]
+mod reference {
+    use super::{chain_ident, chain_key, BlockKey};
+    use crate::engine::ClusterRequest;
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone, Copy)]
+    struct PrefixBlock {
+        refs: u32,
+        last_use: u64,
+    }
+
+    #[derive(Debug, Clone)]
+    pub(super) struct RefPool {
+        block_tokens: u64,
+        total_blocks: u64,
+        pub free_blocks: u64,
+        pub pinned_blocks: u64,
+        pub cached_blocks: u64,
+        pub private_blocks: u64,
+        prefix_caching: bool,
+        pool: BTreeMap<BlockKey, PrefixBlock>,
+        lru: BTreeMap<(u64, BlockKey), ()>,
+        use_counter: u64,
+    }
+
+    impl RefPool {
+        pub fn new(total_blocks: u64, block_tokens: u64, prefix_caching: bool) -> Self {
+            RefPool {
+                block_tokens,
+                total_blocks,
+                free_blocks: total_blocks,
+                pinned_blocks: 0,
+                cached_blocks: 0,
+                private_blocks: 0,
+                prefix_caching,
+                pool: BTreeMap::new(),
+                lru: BTreeMap::new(),
+                use_counter: 0,
+            }
+        }
+
+        fn next_use(&mut self) -> u64 {
+            self.use_counter += 1;
+            self.use_counter
+        }
+
+        pub fn probe_hits(&self, req: &ClusterRequest) -> u64 {
+            if !self.prefix_caching {
+                return 0;
+            }
+            let max_blocks = req.prompt_len / self.block_tokens.max(1);
+            let mut hits = 0;
+            while hits < max_blocks {
+                match chain_key(req, hits, self.block_tokens) {
+                    Some(key) if self.pool.contains_key(&key) => hits += 1,
+                    _ => break,
+                }
+            }
+            hits
+        }
+
+        pub fn session_resident(&self, req: &ClusterRequest) -> bool {
+            if req.session == 0 {
+                return false;
+            }
+            let ident = chain_ident(req.model, req.session);
+            self.pool
+                .range((1, ident, 0)..=(1, ident, u32::MAX))
+                .next()
+                .is_some()
+        }
+
+        pub fn can_allocate(&self, needed: u64) -> bool {
+            needed <= self.free_blocks + self.cached_blocks
+        }
+
+        pub fn pin_hits(&mut self, req: &ClusterRequest, hits: u64) {
+            for k in 0..hits {
+                let key = chain_key(req, k, self.block_tokens).expect("probed block has a key");
+                let block = self.pool.get_mut(&key).expect("probed block is resident");
+                if block.refs == 0 {
+                    self.lru.remove(&(block.last_use, key));
+                    self.cached_blocks -= 1;
+                    self.pinned_blocks += 1;
+                }
+                block.refs += 1;
+            }
+        }
+
+        pub fn release_hits(&mut self, req: &ClusterRequest, hits: u64) {
+            for k in 0..hits {
+                let key = chain_key(req, k, self.block_tokens).expect("pinned block has a key");
+                let refs = {
+                    let block = self.pool.get_mut(&key).expect("pinned block is resident");
+                    block.refs -= 1;
+                    block.refs
+                };
+                if refs == 0 {
+                    let age = self.next_use();
+                    self.pool.get_mut(&key).expect("still resident").last_use = age;
+                    self.lru.insert((age, key), ());
+                    self.pinned_blocks -= 1;
+                    self.cached_blocks += 1;
+                }
+            }
+        }
+
+        pub fn allocate_private(&mut self, needed: u64) {
+            while self.free_blocks < needed {
+                self.evict_one();
+            }
+            self.free_blocks -= needed;
+            self.private_blocks += needed;
+        }
+
+        pub fn evict_one(&mut self) -> BlockKey {
+            let &entry = self
+                .lru
+                .keys()
+                .next()
+                .expect("eviction requires a cached block");
+            self.lru.remove(&entry);
+            self.pool.remove(&entry.1);
+            self.cached_blocks -= 1;
+            self.free_blocks += 1;
+            entry.1
+        }
+
+        pub fn free_private(&mut self, n: u64) {
+            self.private_blocks -= n;
+            self.free_blocks += n;
+        }
+
+        pub fn commit_chain(&mut self, req: &ClusterRequest, hit_blocks: u64, private_blocks: u64) {
+            for k in hit_blocks..hit_blocks + private_blocks {
+                self.private_blocks -= 1;
+                let key = if self.prefix_caching {
+                    chain_key(req, k, self.block_tokens)
+                } else {
+                    None
+                };
+                match key {
+                    Some(key) if !self.pool.contains_key(&key) => {
+                        let age = self.next_use();
+                        self.pool.insert(
+                            key,
+                            PrefixBlock {
+                                refs: 0,
+                                last_use: age,
+                            },
+                        );
+                        self.lru.insert((age, key), ());
+                        self.cached_blocks += 1;
+                    }
+                    _ => self.free_blocks += 1,
+                }
+            }
+        }
+
+        pub fn reset(&mut self) {
+            self.pool.clear();
+            self.lru.clear();
+            self.free_blocks = self.total_blocks;
+            self.pinned_blocks = 0;
+            self.cached_blocks = 0;
+            self.private_blocks = 0;
+        }
+
+        pub fn resident_blocks(&self) -> Vec<(BlockKey, u32)> {
+            self.pool.iter().map(|(&key, b)| (key, b.refs)).collect()
+        }
+
+        pub fn lru_keys(&self) -> Vec<BlockKey> {
+            self.lru.keys().map(|&(_, key)| key).collect()
+        }
+
+        pub fn assert_conserved(&self) {
+            assert_eq!(
+                self.free_blocks + self.pinned_blocks + self.cached_blocks + self.private_blocks,
+                self.total_blocks
+            );
+            assert_eq!(
+                self.pool.len() as u64,
+                self.pinned_blocks + self.cached_blocks
+            );
+            assert_eq!(self.lru.len() as u64, self.cached_blocks);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use reference::RefPool;
 
     fn req(prompt: u64, gen: u64, prefix_id: u64, prefix_len: u64, session: u64) -> ClusterRequest {
         ClusterRequest {
@@ -568,5 +975,150 @@ mod tests {
         assert_eq!(empty.peak_occupancy(), 0.0);
         assert!(empty.mean_occupancy(5.0).is_finite());
         assert!(empty.peak_occupancy().is_finite());
+    }
+
+    /// A drawn request shape: `(model, prefix_id, prefix tokens, session,
+    /// prompt tokens, generated tokens)`. Ids are drawn from tiny ranges so
+    /// shapes share prefix chains and sessions; a prefix plus a session
+    /// gives a session chain whose first blocks the prefix covers, and a
+    /// context past both is an anonymous tail.
+    fn arb_shapes() -> impl Strategy<Value = Vec<(usize, u64, u64, u64, u64, u64)>> {
+        prop::collection::vec(
+            (0usize..2, 0u64..3, 0u64..16, 0u64..4, 1u64..30, 1u64..20),
+            1..7,
+        )
+    }
+
+    /// Drawn ops: `(kind, which, blocks)`, interpreted by
+    /// [`pool_matches_the_reference_op_by_op`].
+    fn arb_ops() -> impl Strategy<Value = Vec<(u8, usize, u64)>> {
+        prop::collection::vec((0u8..8, 0usize..8, 0u64..6), 1..80)
+    }
+
+    /// One in-flight sequence of the differential test.
+    struct Live {
+        req: ClusterRequest,
+        hits: u64,
+        private: u64,
+    }
+
+    /// Everything both pools must agree on after an op, plus each one's
+    /// own structural checks.
+    fn assert_agree(kv: &KvState, oracle: &RefPool, shapes: &[ClusterRequest]) {
+        kv.assert_conserved();
+        oracle.assert_conserved();
+        assert_eq!(
+            (
+                kv.free_blocks,
+                kv.pinned_blocks,
+                kv.cached_blocks,
+                kv.private_blocks
+            ),
+            (
+                oracle.free_blocks,
+                oracle.pinned_blocks,
+                oracle.cached_blocks,
+                oracle.private_blocks
+            ),
+        );
+        assert_eq!(kv.resident_blocks(), oracle.resident_blocks());
+        // Same cached keys in the same order: the list is in age order.
+        assert_eq!(kv.lru_keys(), oracle.lru_keys());
+        for r in shapes {
+            assert_eq!(kv.probe_hits(r), oracle.probe_hits(r), "{r:?}");
+            assert_eq!(kv.session_resident(r), oracle.session_resident(r), "{r:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pool_matches_the_reference_op_by_op(
+            pool in (1u64..9, 2u64..6, 0u8..4),
+            shapes in arb_shapes(),
+            ops in arb_ops(),
+        ) {
+            let (total, block_tokens, caching) = pool;
+            let reqs: Vec<ClusterRequest> = shapes
+                .iter()
+                .map(|&(model, prefix_id, prefix, session, prompt, gen)| ClusterRequest {
+                    model,
+                    prompt_len: prompt,
+                    gen_len: gen,
+                    prefix_id,
+                    prefix_len: prefix.min(prompt),
+                    session,
+                    ..ClusterRequest::default()
+                })
+                .collect();
+            let mut kv = KvState::new(total, block_tokens, caching != 0);
+            let mut oracle = RefPool::new(total, block_tokens, caching != 0);
+            let mut live: Vec<Live> = Vec::new();
+            for &(kind, which, blocks) in &ops {
+                match kind {
+                    // Probe and pin a shape's resident prefix.
+                    0 => {
+                        let req = reqs[which % reqs.len()];
+                        let hits = kv.probe_hits(&req);
+                        prop_assert_eq!(hits, oracle.probe_hits(&req));
+                        kv.pin_hits(&req, hits, 0.0);
+                        oracle.pin_hits(&req, hits);
+                        live.push(Live { req, hits, private: 0 });
+                    }
+                    // Allocate, evicting inside the allocator, or one
+                    // eviction at a time with each evicted key compared.
+                    1 | 2 if !live.is_empty() => {
+                        prop_assert_eq!(kv.can_allocate(blocks), oracle.can_allocate(blocks));
+                        if kv.can_allocate(blocks) {
+                            while kind == 2 && kv.free_blocks < blocks {
+                                prop_assert_eq!(kv.evict_one(), oracle.evict_one());
+                            }
+                            kv.allocate_private(blocks, 0.0);
+                            oracle.allocate_private(blocks);
+                            let n = live.len();
+                            live[which % n].private += blocks;
+                        }
+                    }
+                    // Completion: unpin, then donate the private blocks.
+                    3 if !live.is_empty() => {
+                        let n = live.len();
+                        let seq = live.swap_remove(which % n);
+                        kv.release_hits(&seq.req, seq.hits, 0.0);
+                        oracle.release_hits(&seq.req, seq.hits);
+                        kv.commit_chain(&seq.req, seq.hits, seq.private, 0.0);
+                        oracle.commit_chain(&seq.req, seq.hits, seq.private);
+                    }
+                    // Preemption or a lost hedge: unpin and free.
+                    4 if !live.is_empty() => {
+                        let n = live.len();
+                        let seq = live.swap_remove(which % n);
+                        kv.release_hits(&seq.req, seq.hits, 0.0);
+                        oracle.release_hits(&seq.req, seq.hits);
+                        kv.free_private(seq.private, 0.0);
+                        oracle.free_private(seq.private);
+                    }
+                    // Free part of a sequence's private blocks.
+                    5 if !live.is_empty() => {
+                        let n = live.len();
+                        let seq = &mut live[which % n];
+                        let freed = blocks.min(seq.private);
+                        seq.private -= freed;
+                        kv.free_private(freed, 0.0);
+                        oracle.free_private(freed);
+                    }
+                    6 if kv.cached_blocks > 0 => {
+                        prop_assert_eq!(kv.evict_one(), oracle.evict_one());
+                    }
+                    7 => {
+                        kv.reset(0.0);
+                        oracle.reset();
+                        live.clear();
+                    }
+                    _ => {}
+                }
+                assert_agree(&kv, &oracle, &reqs);
+            }
+        }
     }
 }

@@ -38,13 +38,23 @@ pub trait Backend {
 /// Implemented by [`crate::CpuBackend`] (always resident when it fits)
 /// and [`crate::GpuBackend`] (resident below device memory, FlexGen-style
 /// offloaded above it).
+///
+/// # Purity
+///
+/// [`Self::prefill_time`] and [`Self::decode_step_time`] are pure
+/// functions of their arguments: the same backend asked about the same
+/// model and shape returns the same `Seconds`, bit for bit, however often
+/// and in whatever order it is asked. Serving loops rely on this to price
+/// each step once ([`crate::pricing::StepTable`]) and to memoize whole
+/// service times, so an implementation must not read mutable state (a
+/// clock, a counter, a random stream) into either price.
 pub trait CostModel: Backend {
     /// Wall-clock cost of one prefill pass: `batch` prompts of
-    /// `prompt_len` tokens.
+    /// `prompt_len` tokens. Pure (see the trait docs).
     fn prefill_time(&self, model: &ModelConfig, batch: u64, prompt_len: u64) -> Seconds;
 
     /// Wall-clock cost of one decode step for `batch` sequences attending
-    /// over `kv_len` context tokens.
+    /// over `kv_len` context tokens. Pure (see the trait docs).
     fn decode_step_time(&self, model: &ModelConfig, batch: u64, kv_len: u64) -> Seconds;
 
     /// Bytes of weight state this backend keeps for `model`.

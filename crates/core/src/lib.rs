@@ -44,6 +44,7 @@ pub mod gpu_backend;
 pub mod hybrid_backend;
 pub mod offload;
 pub mod offload_pipeline;
+pub mod pricing;
 pub mod report;
 pub mod request;
 pub mod resilience;
@@ -58,6 +59,7 @@ pub use error::SimError;
 pub use gpu_backend::GpuBackend;
 pub use hybrid_backend::HybridBackend;
 pub use offload::OffloadPlan;
+pub use pricing::StepTable;
 pub use report::{InferenceReport, OffloadBreakdown, PhaseReport};
 pub use request::Request;
 pub use resilience::{

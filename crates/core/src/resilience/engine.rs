@@ -15,6 +15,7 @@ use super::{
     TerminalState, TimeoutPhase,
 };
 use crate::cpu_backend::CpuBackend;
+use crate::pricing::StepTable;
 use crate::serving::{SchedulingPolicy, ServingRequest};
 use llmsim_model::ModelConfig;
 use std::collections::VecDeque;
@@ -155,6 +156,8 @@ impl Injector {
 struct Engine<'a> {
     backend: &'a CpuBackend,
     model: &'a ModelConfig,
+    /// Decode-step prices of `backend` for `model`, each priced once.
+    steps: StepTable,
     cfg: ResilienceConfig,
     injector: Injector,
     pending: Vec<Pending>,
@@ -191,6 +194,7 @@ impl<'a> Engine<'a> {
         Engine {
             backend,
             model,
+            steps: StepTable::new(),
             cfg,
             injector: Injector::new(cfg.faults),
             pending,
@@ -205,6 +209,11 @@ impl<'a> Engine<'a> {
             join_seq: 0,
             kv_bytes_per_token,
         }
+    }
+
+    /// One decode step of `batch` sequences over `kv_len` context tokens.
+    fn step_s(&mut self, batch: u64, kv_len: u64) -> f64 {
+        self.steps.step_s(self.backend, self.model, batch, kv_len)
     }
 
     /// Records the single terminal state of a job.
@@ -589,7 +598,7 @@ fn run_iteration_level(mut eng: Engine<'_>) -> ResilienceReport {
         // One decode iteration for the whole running batch.
         let b = active.len() as u64;
         let kv = active.iter().map(|a| a.context).max().unwrap_or(1);
-        let raw = eng.backend.decode_step_time(eng.model, b, kv).as_f64();
+        let raw = eng.step_s(b, kv);
         let (step, fault) = eng.injector.perturb(raw, active.len());
         max_stall = max_stall.max(step);
         now += step;
@@ -716,10 +725,7 @@ fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
                 let chunk = p.remaining_prompt.min(chunk_tokens);
                 let chunk_cost = eng.backend.prefill_time(eng.model, 1, chunk).as_f64();
                 let piggyback = if b > 0 {
-                    0.25 * eng
-                        .backend
-                        .decode_step_time(eng.model, b, 1 + p.job.prefill_len())
-                        .as_f64()
+                    0.25 * eng.step_s(b, 1 + p.job.prefill_len())
                 } else {
                     0.0
                 };
@@ -727,12 +733,7 @@ fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
             }
             (None, b) => {
                 let kv = active.iter().map(|a| a.context).max().unwrap_or(1);
-                (
-                    eng.backend
-                        .decode_step_time(eng.model, b.max(1), kv)
-                        .as_f64(),
-                    0,
-                )
+                (eng.step_s(b.max(1), kv), 0)
             }
         };
         let participants = active.len() + usize::from(prefilling.is_some());

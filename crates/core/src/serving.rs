@@ -8,6 +8,7 @@
 //! per-request latency plus system throughput.
 
 use crate::backend::CostModel;
+use crate::pricing::StepTable;
 use crate::trace::{NullSink, SpanOutcome, SpanRecord, SpanSink};
 use llmsim_model::ModelConfig;
 use serde::{Deserialize, Serialize};
@@ -186,6 +187,7 @@ fn simulate_static<B: CostModel + ?Sized>(
     requests: &[ServingRequest],
     sink: &mut dyn SpanSink,
 ) -> ServingReport {
+    let mut steps = StepTable::new();
     let mut now = 0.0f64;
     let mut outcomes = Vec::with_capacity(requests.len());
     let mut generated = 0u64;
@@ -207,7 +209,7 @@ fn simulate_static<B: CostModel + ?Sized>(
         let mut finish = vec![first_token; batch.len()];
         for step in 0..max_gen.saturating_sub(1) {
             let kv = max_prompt + 1 + step;
-            let dt = backend.decode_step_time(model, b, kv).as_f64();
+            let dt = steps.step_s(backend, model, b, kv);
             max_stall = max_stall.max(dt);
             t += dt;
             for (j, r) in batch.iter().enumerate() {
@@ -309,6 +311,7 @@ fn simulate_iteration<B: CostModel + ?Sized>(
     requests: &[ServingRequest],
     sink: &mut dyn SpanSink,
 ) -> ServingReport {
+    let mut steps = StepTable::new();
     let mut waiting: VecDeque<ServingRequest> = requests.iter().copied().collect();
     let mut active: Vec<Active> = Vec::new();
     let mut outcomes = Vec::with_capacity(requests.len());
@@ -382,7 +385,7 @@ fn simulate_iteration<B: CostModel + ?Sized>(
         let kv = active.iter().map(|a| a.context).max().unwrap_or(1);
         // Requests with nothing left to generate complete immediately.
         let mut still_running = Vec::with_capacity(active.len());
-        let step = backend.decode_step_time(model, b, kv).as_f64();
+        let step = steps.step_s(backend, model, b, kv);
         max_stall = max_stall.max(step);
         now += step;
         for mut a in active.drain(..) {
@@ -434,6 +437,7 @@ fn simulate_chunked<B: CostModel + ?Sized>(
     chunk_tokens: u64,
     sink: &mut dyn SpanSink,
 ) -> ServingReport {
+    let mut steps = StepTable::new();
     let mut waiting: VecDeque<ServingRequest> = requests.iter().copied().collect();
     let mut active: Vec<Active> = Vec::new();
     let mut prefilling: Option<Prefilling> = None;
@@ -470,9 +474,7 @@ fn simulate_chunked<B: CostModel + ?Sized>(
                 let chunk = p.remaining_prompt.min(chunk_tokens);
                 let chunk_cost = backend.prefill_time(model, 1, chunk).as_f64();
                 let piggyback = if b > 0 {
-                    0.25 * backend
-                        .decode_step_time(model, b, 1 + p.req.prompt_len)
-                        .as_f64()
+                    0.25 * steps.step_s(backend, model, b, 1 + p.req.prompt_len)
                 } else {
                     0.0
                 };
@@ -481,7 +483,7 @@ fn simulate_chunked<B: CostModel + ?Sized>(
             }
             (None, b) => {
                 let kv = active.iter().map(|a| a.context).max().unwrap_or(1);
-                backend.decode_step_time(model, b.max(1), kv).as_f64()
+                steps.step_s(backend, model, b.max(1), kv)
             }
         };
         if !active.is_empty() {
