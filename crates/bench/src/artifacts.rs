@@ -6,120 +6,27 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// A named render function producing one artifact.
-type Producer = (&'static str, Box<dyn Fn() -> String>);
-
-/// The full artifact set: `(file name, producer)` in paper order.
-fn producers() -> Vec<Producer> {
-    vec![
-        ("table1_cpus.txt", Box::new(exp::tables::render_table1)),
-        ("table2_gpus.txt", Box::new(exp::tables::render_table2)),
-        ("fig01_gemm.txt", Box::new(exp::fig01_gemm::render)),
-        (
-            "fig06_weights.txt",
-            Box::new(exp::fig06_07_footprints::render_fig6),
-        ),
-        (
-            "fig07_kvcache.txt",
-            Box::new(exp::fig06_07_footprints::render_fig7),
-        ),
-        (
-            "fig08_10_cpu_comparison.txt",
-            Box::new(|| {
-                let cmp = exp::fig08_10_cpu_comparison::CpuComparison::run();
-                format!(
-                    "{}\n{}\n{}",
-                    exp::fig08_10_cpu_comparison::render_fig8(&cmp),
-                    exp::fig08_10_cpu_comparison::render_fig9(&cmp),
-                    exp::fig08_10_cpu_comparison::render_fig10(&cmp)
-                )
-            }),
-        ),
-        (
-            "fig11_12_counters.txt",
-            Box::new(|| {
-                format!(
-                    "{}\n{}",
-                    exp::fig11_12_counters::render(&exp::fig11_12_counters::run_fig11(), "Fig. 11"),
-                    exp::fig11_12_counters::render(&exp::fig11_12_counters::run_fig12(), "Fig. 12")
-                )
-            }),
-        ),
-        (
-            "fig13_15_numa.txt",
-            Box::new(|| {
-                format!(
-                    "{}\n{}",
-                    exp::fig13_15_numa::render_fig13(&exp::fig13_15_numa::run_fig13()),
-                    exp::fig13_15_numa::render_fig15(&exp::fig13_15_numa::run_fig15())
-                )
-            }),
-        ),
-        (
-            "fig14_16_cores.txt",
-            Box::new(|| {
-                format!(
-                    "{}\n{}",
-                    exp::fig14_16_cores::render_fig14(&exp::fig14_16_cores::run_fig14()),
-                    exp::fig14_16_cores::render_fig16(&exp::fig14_16_cores::run_fig16())
-                )
-            }),
-        ),
-        (
-            "fig17_cpu_vs_gpu_b1.txt",
-            Box::new(|| {
-                exp::fig17_19_cpu_vs_gpu::render(&exp::fig17_19_cpu_vs_gpu::run(1), "Fig. 17", 1)
-            }),
-        ),
-        (
-            "fig18_offload.txt",
-            Box::new(|| exp::fig18_offload::render(&exp::fig18_offload::run())),
-        ),
-        (
-            "fig19_cpu_vs_gpu_b16.txt",
-            Box::new(|| {
-                exp::fig17_19_cpu_vs_gpu::render(&exp::fig17_19_cpu_vs_gpu::run(16), "Fig. 19", 16)
-            }),
-        ),
-        (
-            "fig20_seqlen_b1.txt",
-            Box::new(|| exp::fig20_21_seqlen::render(&exp::fig20_21_seqlen::run(1), "Fig. 20")),
-        ),
-        (
-            "fig21_seqlen_b16.txt",
-            Box::new(|| exp::fig20_21_seqlen::render(&exp::fig20_21_seqlen::run(16), "Fig. 21")),
-        ),
-        ("ablations.txt", Box::new(exp::ablations::render)),
-        ("extensions.txt", Box::new(exp::extensions::render)),
-        ("ext_memory.txt", Box::new(exp::ext_memory::render)),
-        (
-            "ext_speculative.txt",
-            Box::new(exp::ext_speculative::render),
-        ),
-        ("ext_resilience.txt", Box::new(exp::ext_resilience::render)),
-        ("ext_cluster.txt", Box::new(exp::ext_cluster::render)),
-        ("ext_kvcache.txt", Box::new(exp::ext_kvcache::render)),
-        (
-            "ext_multisocket.txt",
-            Box::new(exp::ext_multisocket::render),
-        ),
-        ("ext_trace.txt", Box::new(exp::ext_trace::render)),
-        ("ext_chaos.txt", Box::new(exp::ext_chaos::render)),
-    ]
-}
-
-/// Renders every artifact into `dir` (created if missing). Returns the
-/// written paths in paper order.
+/// Renders every artifact into `dir` (created if missing): each file holds
+/// its sections joined with `"\n"`. Returns the written paths in the order
+/// their first section appears in paper order.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from directory creation or file writes.
 pub fn write_all(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut files: Vec<(&str, Vec<String>)> = Vec::new();
+    let rendered = exp::render_sections(exp::default_render_workers());
+    for (&(file, _), text) in exp::SECTIONS.iter().zip(rendered) {
+        match files.iter_mut().find(|(name, _)| *name == file) {
+            Some((_, texts)) => texts.push(text),
+            None => files.push((file, vec![text])),
+        }
+    }
     fs::create_dir_all(dir)?;
     let mut written = Vec::new();
-    for (name, f) in producers() {
-        let path = dir.join(name);
-        fs::write(&path, f())?;
+    for (file, texts) in files {
+        let path = dir.join(file);
+        fs::write(&path, texts.join("\n"))?;
         written.push(path);
     }
     Ok(written)

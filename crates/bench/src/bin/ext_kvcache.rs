@@ -1,27 +1,5 @@
 //! Runs the paged-KV extension (prefix caching + cache-aware routing) and
-//! prints the rendered studies; `--out <path>` additionally writes them to
-//! a file so CI can upload the artifact next to `BENCH_kernels.json`.
-
+//! prints the rendered studies.
 fn main() {
-    let mut out_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next(),
-            other => {
-                eprintln!("unknown argument: {other} (supported: --out <path>)");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let rendered = llmsim_bench::experiments::ext_kvcache::render();
-    print!("{rendered}");
-    if let Some(path) = out_path {
-        std::fs::write(&path, &rendered).unwrap_or_else(|e| {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {path}");
-    }
+    print!("{}", llmsim_bench::experiments::ext_kvcache::render());
 }

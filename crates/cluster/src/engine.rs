@@ -64,7 +64,6 @@ use llmsim_core::resilience::SimRng;
 use llmsim_core::trace::{NullSink, SpanOutcome, SpanRecord, SpanSink};
 use llmsim_core::{CostModel, StepTable};
 use llmsim_model::ModelConfig;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -73,7 +72,7 @@ use std::sync::Arc;
 pub(crate) const RETRY_JITTER_STREAM: u64 = 0x5245_5452_594A_4954;
 
 /// One request in the cluster workload.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClusterRequest {
     /// Workload index (also the outcome index in the report).
     pub id: usize,

@@ -18,10 +18,9 @@
 
 use llmsim_core::resilience::{RetryPolicy, SimRng};
 use llmsim_workload::ChaosScenario;
-use serde::Serialize;
 
 /// What an injected fault does to its replica.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The replica dies: every queued and in-service request on it is
     /// destroyed (resolved to a backend fault and re-routed under the
@@ -53,7 +52,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault: `kind` strikes `replica` at `at_s`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Fleet index of the victim replica.
     pub replica: usize,
@@ -66,7 +65,7 @@ pub struct FaultEvent {
 /// Stochastic fault-process parameters: a per-replica Poisson process
 /// with exponential inter-fault gaps of mean [`FaultInjection::mtbf_s`],
 /// each fault's kind drawn from the normalized weights.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultInjection {
     /// Per-replica mean time between faults, seconds. Infinite disables
     /// the process (no faults are ever drawn).
@@ -185,7 +184,7 @@ impl FaultInjection {
 /// its deadline, a duplicate attempt is routed to a second replica and
 /// whichever attempt completes first wins (the loser is cancelled
 /// deterministically and its partial work counted as wasted).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgePolicy {
     /// Hedge fires at `after_frac` × the e2e SLO after arrival (or
     /// `after_frac` × the routing-time service estimate when the fleet
@@ -195,7 +194,7 @@ pub struct HedgePolicy {
 
 /// Full fleet-level chaos configuration: the seeded fault schedule plus
 /// the recovery machinery (retry + hedging).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Seed for the fault schedule and every backoff-jitter draw.
     pub seed: u64,

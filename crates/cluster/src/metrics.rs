@@ -8,10 +8,9 @@
 //! study surfaces between round-robin and cost-model-aware routing.
 
 use llmsim_report::{percentile, table::Table};
-use serde::Serialize;
 
 /// Latency targets a request must meet to count toward goodput.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SloTargets {
     /// Max arrival-to-first-token latency.
     pub ttft_s: f64,
@@ -28,7 +27,7 @@ impl SloTargets {
 }
 
 /// Terminal state of one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutcomeState {
     /// Served to completion.
     Completed,
@@ -42,7 +41,7 @@ pub enum OutcomeState {
 }
 
 /// Per-request record in the fleet report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterOutcome {
     /// Workload index.
     pub id: usize,
@@ -82,7 +81,7 @@ impl ClusterOutcome {
 }
 
 /// Per-replica utilization summary.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicaStats {
     /// Backend name.
     pub name: String,
@@ -109,7 +108,7 @@ pub struct ReplicaStats {
 }
 
 /// The result of one fleet simulation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Routing policy name.
     pub router: String,

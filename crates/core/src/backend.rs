@@ -75,98 +75,3 @@ pub trait CostModel: Backend {
     /// can hold no paged cache at all.
     fn kv_capacity_bytes(&self, models: &[ModelConfig]) -> Bytes;
 }
-
-/// A thin owner of a boxed backend with convenience sweep helpers.
-pub struct Simulator {
-    backend: Box<dyn Backend>,
-}
-
-impl std::fmt::Debug for Simulator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Simulator({})", self.backend.name())
-    }
-}
-
-impl Simulator {
-    /// Wraps a backend.
-    #[must_use]
-    pub fn new(backend: Box<dyn Backend>) -> Self {
-        Simulator { backend }
-    }
-
-    /// The wrapped backend's name.
-    #[must_use]
-    pub fn backend_name(&self) -> String {
-        self.backend.name()
-    }
-
-    /// Runs one request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's [`SimError`].
-    pub fn run(&self, model: &ModelConfig, request: &Request) -> Result<InferenceReport, SimError> {
-        self.backend.run(model, request)
-    }
-
-    /// Runs the same model across a batch-size sweep.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first erroring batch size.
-    pub fn batch_sweep(
-        &self,
-        model: &ModelConfig,
-        batches: &[u64],
-        prompt_len: u64,
-        gen_len: u64,
-    ) -> Result<Vec<InferenceReport>, SimError> {
-        batches
-            .iter()
-            .map(|&b| self.run(model, &Request::try_new(b, prompt_len, gen_len)?))
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::report::PhaseReport;
-    use llmsim_hw::Seconds;
-    use llmsim_mem::HwCounters;
-
-    /// A constant-latency fake backend for trait-level tests.
-    struct Fixed;
-
-    impl Backend for Fixed {
-        fn name(&self) -> String {
-            "fixed".into()
-        }
-
-        fn run(&self, model: &ModelConfig, request: &Request) -> Result<InferenceReport, SimError> {
-            Ok(InferenceReport {
-                model: model.name.clone(),
-                backend: self.name(),
-                request: *request,
-                ttft: Seconds::new(0.1),
-                tpot: Seconds::new(0.01),
-                e2e_latency: Seconds::new(0.1 + 0.01 * request.decode_steps() as f64),
-                prefill: PhaseReport::default(),
-                decode: PhaseReport::default(),
-                counters: HwCounters::default(),
-                offload: None,
-            })
-        }
-    }
-
-    #[test]
-    fn simulator_delegates_and_sweeps() {
-        let sim = Simulator::new(Box::new(Fixed));
-        assert_eq!(sim.backend_name(), "fixed");
-        let m = llmsim_model::families::opt_1_3b();
-        let reports = sim.batch_sweep(&m, &[1, 2, 4], 128, 32).unwrap();
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[2].request.batch, 4);
-        assert!(format!("{sim:?}").contains("fixed"));
-    }
-}

@@ -53,7 +53,7 @@ pub mod serving;
 pub mod tp;
 pub mod trace;
 
-pub use backend::{Backend, CostModel, Simulator};
+pub use backend::{Backend, CostModel};
 pub use cpu_backend::CpuBackend;
 pub use error::SimError;
 pub use gpu_backend::GpuBackend;

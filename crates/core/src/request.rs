@@ -1,7 +1,6 @@
 //! Inference request description.
 
 use crate::error::SimError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One batched generation request: `batch` prompts of `prompt_len` tokens,
@@ -9,7 +8,7 @@ use std::fmt;
 ///
 /// The paper's standard workload is `prompt_len = 128`, `gen_len = 32`,
 /// with batch swept 1–32 (§IV-A); [`Request::paper_default`] builds it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Request {
     /// Concurrent sequences.
     pub batch: u64,

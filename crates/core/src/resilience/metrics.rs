@@ -3,7 +3,6 @@
 
 use super::{ResilientOutcome, TerminalState};
 use crate::serving::SchedulingPolicy;
-use serde::Serialize;
 
 /// Linear-interpolation percentile over an unsorted sample.
 ///
@@ -18,7 +17,7 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 
 /// Everything a resilient serving run produced, with the fleet metrics the
 /// resilience experiments report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ResilienceReport {
     /// Scheduling policy the run used.
     pub policy: SchedulingPolicy,

@@ -73,7 +73,6 @@ mod rng_tests {
 
 use crate::serving::ServingConfig;
 use llmsim_hw::{Bytes, CpuSpec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Deterministic xorshift-free SplitMix64 stream used for every random
@@ -141,7 +140,7 @@ impl SimRng {
 /// The injected-failure model: all probabilities are per scheduler
 /// iteration (one prefill pass, one fused chunk, or one decode step), all
 /// draws come from one seeded stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     /// Seed for every stochastic draw the engine makes.
     pub seed: u64,
@@ -232,7 +231,7 @@ impl FaultModel {
 }
 
 /// Per-request service-level objectives; `None` disables a deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SloPolicy {
     /// Time-to-first-token budget, seconds from arrival.
     pub ttft_deadline_s: Option<f64>,
@@ -259,7 +258,7 @@ impl SloPolicy {
 }
 
 /// Bounded-queue admission control; `None` capacity admits everything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AdmissionPolicy {
     /// Maximum requests waiting for a batch slot; arrivals beyond it are
     /// shed with [`TerminalState::Rejected`].
@@ -284,7 +283,7 @@ impl AdmissionPolicy {
 
 /// Retry with exponential backoff, deterministic jitter, and a global
 /// retry budget (the standard anti-retry-storm trio).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts allowed per request beyond the first.
     pub max_retries: u32,
@@ -327,7 +326,7 @@ impl RetryPolicy {
 }
 
 /// What to do when the KV budget is exhausted mid-run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DegradationPolicy {
     /// Fail the most recently admitted sequence with a (retryable) OOM.
     FailNewest,
@@ -347,7 +346,7 @@ impl fmt::Display for DegradationPolicy {
 }
 
 /// Full configuration of the resilient serving engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
     /// Batching policy and cap (shared with the plain simulator).
     pub serving: ServingConfig,
@@ -380,7 +379,7 @@ impl ResilienceConfig {
 }
 
 /// Why a request failed terminally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FailureKind {
     /// A core/socket-loss fault hit the request and its retries ran out
@@ -401,7 +400,7 @@ impl fmt::Display for FailureKind {
 }
 
 /// Where a deadline cancellation caught the request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum TimeoutPhase {
     /// Expired while still waiting for a batch slot.
@@ -423,7 +422,7 @@ impl fmt::Display for TimeoutPhase {
 }
 
 /// The exactly-one terminal state every request reaches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum TerminalState {
     /// Finished every token without interference.
@@ -463,7 +462,7 @@ impl fmt::Display for TerminalState {
 
 /// Per-request outcome under the resilient engine — the terminal-state
 /// extension of [`crate::serving::RequestOutcome`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilientOutcome {
     /// Request id.
     pub id: u64,

@@ -11,12 +11,11 @@ use crate::backend::CostModel;
 use crate::pricing::StepTable;
 use crate::trace::{NullSink, SpanOutcome, SpanRecord, SpanSink};
 use llmsim_model::ModelConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// One request arriving at a serving system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingRequest {
     /// Caller-assigned id.
     pub id: u64,
@@ -29,7 +28,7 @@ pub struct ServingRequest {
 }
 
 /// Batching policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulingPolicy {
     /// Whole batches run to completion (FasterTransformer-style). Short
     /// requests wait for the batch's longest generation.
@@ -59,7 +58,7 @@ impl fmt::Display for SchedulingPolicy {
 }
 
 /// Serving-system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServingConfig {
     /// Maximum concurrent sequences in one batch.
     pub max_batch: u64,
@@ -68,7 +67,7 @@ pub struct ServingConfig {
 }
 
 /// Per-request outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestOutcome {
     /// Request id.
     pub id: u64,
@@ -81,7 +80,7 @@ pub struct RequestOutcome {
 }
 
 /// Whole-run serving metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
     /// Policy used.
     pub policy: SchedulingPolicy,

@@ -1,11 +1,10 @@
 //! Cache-hierarchy descriptions.
 
 use crate::units::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cache level in the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CacheLevel {
     /// Per-core L1 data cache.
     L1d,
@@ -27,7 +26,7 @@ impl fmt::Display for CacheLevel {
 }
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSpec {
     /// Which level this describes.
     pub level: CacheLevel,
@@ -91,7 +90,7 @@ impl fmt::Display for CacheSpec {
 }
 
 /// The full cache hierarchy of a CPU socket.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheHierarchy {
     /// Per-core L1 data cache.
     pub l1d: CacheSpec,

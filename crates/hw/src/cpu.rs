@@ -5,11 +5,10 @@ use crate::interconnect::LinkSpec;
 use crate::memory::MemoryDeviceSpec;
 use crate::topology::Topology;
 use crate::units::{Bytes, FlopsPerSec, GbPerSec, Hertz};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// CPU microarchitecture generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuGeneration {
     /// 3rd-gen Xeon Scalable (Ice Lake) — AVX-512 only.
     IceLake,
@@ -28,7 +27,7 @@ impl fmt::Display for CpuGeneration {
 }
 
 /// The matrix/vector execution engine a kernel is compiled for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComputeEngine {
     /// 512-bit vector FMA pipes.
     Avx512,
@@ -64,7 +63,7 @@ impl fmt::Display for ComputeEngine {
 /// let avx = spr.peak_flops(ComputeEngine::Avx512, 48);
 /// assert!(amx.as_tflops() > 8.0 * avx.as_tflops());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuSpec {
     /// Marketing name, e.g. "Xeon 4th Max 9468".
     pub name: String,

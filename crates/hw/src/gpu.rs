@@ -2,7 +2,6 @@
 
 use crate::interconnect::LinkSpec;
 use crate::units::{Bytes, FlopsPerSec, GbPerSec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A GPU accelerator specification (one column of Table II).
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert_eq!(h100.memory_capacity.as_gib().round(), 80.0);
 /// assert!(h100.bf16_peak.as_tflops() > 700.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. "NVIDIA H100".
     pub name: String,

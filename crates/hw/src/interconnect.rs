@@ -2,11 +2,10 @@
 //! socket↔socket links (Intel UPI).
 
 use crate::units::{Bytes, GbPerSec, Seconds};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Host-to-device link technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// PCI Express 4.0 x16 (A100 server in Table II).
     Pcie4,
@@ -39,7 +38,7 @@ impl fmt::Display for LinkKind {
 /// what a real `cudaMemcpy` achieves, so the model exposes
 /// [`LinkSpec::effective_bandwidth`] = advertised × direction share ×
 /// protocol efficiency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     /// Link technology.
     pub kind: LinkKind,

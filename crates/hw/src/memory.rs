@@ -1,11 +1,10 @@
 //! Memory-device descriptions (DDR4/DDR5 DIMM pools, on-package HBM, GPU HBM).
 
 use crate::units::{Bytes, GbPerSec, Seconds};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The memory technology backing a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryKind {
     /// DDR4 DIMMs (e.g. the Ice Lake server in Table I).
     Ddr4,
@@ -31,7 +30,7 @@ impl fmt::Display for MemoryKind {
 ///
 /// Bandwidths are per-socket sustained numbers, matching how Table I reports
 /// them (measured with the STREAM benchmark on a single socket).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryDeviceSpec {
     /// Technology of this device.
     pub kind: MemoryKind,

@@ -3,11 +3,10 @@
 //! power-management work the paper cites as [43]).
 
 use crate::units::Seconds;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Power envelope of one processor (or processor pair for 2S servers).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSpec {
     /// Thermal design power in watts (whole package set in use).
     pub tdp_watts: f64,

@@ -5,11 +5,10 @@
 //! These are the public list prices the paper's citations point at
 //! (Intel ARK recommended customer pricing; Tom's Hardware for the GPUs).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A processor list price in US dollars.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct UsDollars(f64);
 
 impl UsDollars {

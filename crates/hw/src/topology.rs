@@ -4,11 +4,10 @@
 //! (HBM-only / Flat / Cache) and two clustering modes (Quadrant / SNC-4); the
 //! paper evaluates the four combinations reachable with DDR5 installed.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Intra-socket clustering mode of a Sapphire Rapids Max socket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ClusteringMode {
     /// Quadrant mode: the socket appears as a single NUMA node.
     #[default]
@@ -39,7 +38,7 @@ impl fmt::Display for ClusteringMode {
 }
 
 /// How on-package HBM is exposed to software.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemoryMode {
     /// HBM is a transparent memory-side cache in front of DDR.
     #[default]
@@ -64,7 +63,7 @@ impl fmt::Display for MemoryMode {
 
 /// A complete server NUMA configuration: clustering × memory mode, as swept
 /// in Fig. 13 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NumaConfig {
     /// Clustering mode of each socket.
     pub clustering: ClusteringMode,
@@ -116,7 +115,7 @@ impl fmt::Display for NumaConfig {
 }
 
 /// Socket-level topology of a server.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     /// Number of CPU sockets.
     pub sockets: u32,

@@ -15,13 +15,12 @@
 //! assert!(t.as_f64() > 0.02 && t.as_f64() < 0.022);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A duration in seconds, stored as `f64`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Seconds(f64);
 
 impl Seconds {
@@ -159,9 +158,7 @@ impl fmt::Display for Seconds {
 }
 
 /// A byte count.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(u64);
 
 impl Bytes {
@@ -292,7 +289,7 @@ impl fmt::Display for Bytes {
 }
 
 /// A floating-point-operation count.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Flops(f64);
 
 impl Flops {
@@ -364,7 +361,7 @@ impl fmt::Display for Flops {
 }
 
 /// Compute rate in FLOP/s.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct FlopsPerSec(f64);
 
 impl FlopsPerSec {
@@ -436,7 +433,7 @@ impl fmt::Display for FlopsPerSec {
 
 /// Bandwidth in decimal gigabytes per second (1 GB = 1e9 B), matching how the
 /// paper and vendor datasheets quote memory and interconnect bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct GbPerSec(f64);
 
 impl GbPerSec {
@@ -511,7 +508,7 @@ impl fmt::Display for GbPerSec {
 }
 
 /// A clock frequency in hertz.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Hertz(f64);
 
 impl Hertz {

@@ -1,11 +1,10 @@
 //! Decoder-only transformer model configurations.
 
 use crate::dtype::DType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Model family (affects FFN structure, positional encoding, biases).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Meta OPT: learned positional embeddings, GELU FFN (2 matrices), biases.
     Opt,
@@ -24,7 +23,7 @@ impl fmt::Display for Family {
 }
 
 /// FFN block structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FfnKind {
     /// Two matrices with a GELU between them (OPT).
     Gelu,
@@ -57,7 +56,7 @@ impl FfnKind {
 /// let kv = m.kv_cache_bytes(4096, 32, DType::Bf16);
 /// assert!((kv.as_gib() - 288.0).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Human name, e.g. "LLaMA2-13B".
     pub name: String,

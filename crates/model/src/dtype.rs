@@ -1,10 +1,9 @@
 //! Numeric data types used for weights, activations and KV cache.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Element type of a tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// 32-bit IEEE float.
     Fp32,

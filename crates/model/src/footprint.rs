@@ -3,10 +3,9 @@
 use crate::config::ModelConfig;
 use crate::dtype::DType;
 use llmsim_hw::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// One row of the Fig. 6 weight-footprint chart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightFootprint {
     /// Model name.
     pub model: String,
@@ -30,7 +29,7 @@ pub fn weight_footprints(models: &[ModelConfig], dtype: DType) -> Vec<WeightFoot
 }
 
 /// One cell of the Fig. 7 KV-cache grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvFootprint {
     /// Sequence length.
     pub seq_len: u64,

@@ -9,10 +9,9 @@ use crate::config::{Family, FfnKind, ModelConfig};
 use crate::dtype::DType;
 use crate::ops::{Matmul, OpClass, OpKind, Operator};
 use crate::phases::Phase;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate costs of a phase graph.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GraphTotals {
     /// Total FLOPs.
     pub flops: f64,
@@ -46,7 +45,7 @@ impl GraphTotals {
 }
 
 /// The operator graph of one inference phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpGraph {
     /// Which phase this graph describes.
     pub phase: Phase,

@@ -5,12 +5,11 @@
 //! one [`OpKind`] with closed-form cost formulas.
 
 use crate::dtype::DType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Shape of a (possibly batched) matrix multiplication
 /// `[batch] × (m×k) · (k×n)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Matmul {
     /// Rows of the left operand (tokens, usually).
     pub m: u64,
@@ -71,7 +70,7 @@ impl fmt::Display for Matmul {
 }
 
 /// Broad operator class, used for counter attribution and engine dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Weight GEMM (runs on AMX when available).
     Gemm,
@@ -99,7 +98,7 @@ impl fmt::Display for OpClass {
 }
 
 /// One operator instance in a phase graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpKind {
     /// `activations (m×k) · weights (k×n)`; the weight matrix streams from
     /// memory (`weight_elems` elements).
@@ -161,7 +160,7 @@ pub enum OpKind {
 }
 
 /// A costed operator with a name and a repeat count within its phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Operator {
     /// Stable name, e.g. `"ffn.up_proj"`.
     pub name: String,

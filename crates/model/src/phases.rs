@@ -1,10 +1,9 @@
 //! Inference phases (§II-B of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two phases of autoregressive LLM inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Prompt processing: all input tokens in one compute-bound pass.
     Prefill,

@@ -5,10 +5,9 @@
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Bounds for random request shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestBounds {
     /// Inclusive batch range.
     pub batch: (u64, u64),
@@ -29,7 +28,7 @@ impl Default for RequestBounds {
 }
 
 /// A generated request shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GeneratedRequest {
     /// Batch size.
     pub batch: u64,
@@ -75,7 +74,7 @@ impl RequestGenerator {
 /// Parameters of a log-normal length distribution (real chat traces like
 /// ShareGPT have heavy-tailed prompt/generation lengths; a log-normal is
 /// the standard fit).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormalLengths {
     /// Mean of `ln(length)`.
     pub mu: f64,
@@ -132,7 +131,7 @@ pub fn sharegpt_like_lengths(seed: u64, n: usize) -> Vec<(u64, u64)> {
 
 /// A request arrival trace with exponential inter-arrival times
 /// (Poisson process at `rate_per_sec`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalTrace {
     /// Arrival timestamps in seconds, ascending.
     pub arrivals: Vec<f64>,

@@ -1,11 +1,10 @@
 //! Serving scenarios from §II-C of the paper: different use cases
 //! prioritize different metrics.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The metric a use case optimizes for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrimaryMetric {
     /// Time to first token.
     Ttft,
@@ -30,7 +29,7 @@ impl fmt::Display for PrimaryMetric {
 }
 
 /// A named serving scenario with its workload shape and priority metric.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
     /// Scenario name.
     pub name: String,
@@ -107,7 +106,7 @@ impl fmt::Display for Scenario {
 /// A named stress condition for the resilience experiments: arrival
 /// shape, fault rates, and SLO targets as plain numbers (the core crate
 /// turns them into its fault/SLO policies).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceScenario {
     /// Scenario name.
     pub name: String,
@@ -231,7 +230,7 @@ impl fmt::Display for ResilienceScenario {
 /// turns these into its `ChaosConfig`; keeping the preset here means the
 /// `ext_chaos` experiment and the cluster tests share one canonical
 /// configuration instead of each hand-rolling rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosScenario {
     /// Scenario name.
     pub name: String,

@@ -1,7 +1,6 @@
 //! Parameter-sweep grids matching the paper's methodology (§IV-A, §V).
 
 use llmsim_model::{families, ModelConfig};
-use serde::{Deserialize, Serialize};
 
 /// The paper's batch-size sweep: 1–32 in powers of two.
 pub const PAPER_BATCHES: [u64; 6] = [1, 2, 4, 8, 16, 32];
@@ -13,7 +12,7 @@ pub const PAPER_SEQ_LENS: [u64; 4] = [128, 256, 512, 1024];
 pub const PAPER_CORE_COUNTS: [u32; 4] = [12, 24, 48, 96];
 
 /// One sweep point.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SweepPoint {
     /// Model name (resolve with [`families::by_name`]).
     pub model: String,

@@ -28,11 +28,10 @@
 use crate::generator::{ArrivalTrace, LogNormalLengths};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One workload class in the mixture: a weight and the length
 /// distributions requests of this class draw from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LengthClass {
     /// Relative mixture weight (need not be normalized).
     pub weight: f64,
@@ -44,7 +43,7 @@ pub struct LengthClass {
 
 /// Full specification of a synthetic trace. Two specs with equal fields
 /// generate byte-identical traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticSpec {
     /// Master seed (arrivals and shapes derive independent streams).
     pub seed: u64,
@@ -128,7 +127,7 @@ impl SyntheticSpec {
 
 /// One synthetic request: arrival plus quantized shape and the class it
 /// was drawn from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticRequest {
     /// Arrival time at the router.
     pub arrival_s: f64,
@@ -220,7 +219,7 @@ pub fn synthesize(spec: &SyntheticSpec) -> Vec<SyntheticRequest> {
 /// KV cache that kept the session's blocks can skip re-prefilling all but
 /// the new suffix. Two specs with equal fields generate byte-identical
 /// traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
     /// Master seed (session starts and shapes derive independent streams).
     pub seed: u64,
@@ -282,7 +281,7 @@ impl SessionSpec {
 }
 
 /// One turn of one synthetic session, ready to become a fleet request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionRequest {
     /// Arrival time at the router.
     pub arrival_s: f64,

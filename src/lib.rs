@@ -13,13 +13,11 @@
 //! # Quickstart
 //!
 //! ```
-//! use llmsim::hw::presets;
 //! use llmsim::model::families;
-//! use llmsim::core::{CpuBackend, Request, Simulator};
+//! use llmsim::core::{Backend, CpuBackend, Request};
 //!
 //! let spr = CpuBackend::paper_spr(); // quad_flat, 48 cores
-//! let sim = Simulator::new(Box::new(spr));
-//! let report = sim.run(&families::llama2_13b(), &Request::new(8, 128, 32))?;
+//! let report = spr.run(&families::llama2_13b(), &Request::new(8, 128, 32))?;
 //! assert!(report.e2e_latency.as_f64() > 0.0);
 //! println!("TTFT {}  TPOT {}", report.ttft, report.tpot);
 //! # Ok::<(), llmsim::core::SimError>(())
