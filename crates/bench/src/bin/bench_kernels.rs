@@ -12,8 +12,7 @@
 //!   ([`llmsim_isa::amx_gemm_bf16_parallel`]).
 //!
 //! All three produce bit-identical outputs (asserted here on every run), so
-//! the ratios are pure kernel-speed deltas. The experiment renderer is also
-//! timed serial vs parallel.
+//! the ratios are pure kernel-speed deltas.
 
 use llmsim_isa::bf16::Bf16;
 use llmsim_isa::gemm::{amx_gemm_bf16, amx_gemm_bf16_legacy};
@@ -70,7 +69,6 @@ fn bench_size(n: usize, cores: usize) -> SizeRow {
 
 fn main() {
     let mut out_path = "BENCH_kernels.json".to_owned();
-    let mut quick = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -80,9 +78,8 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--quick" => quick = true,
             _ => {
-                eprintln!("usage: bench_kernels [--out <path>] [--quick]");
+                eprintln!("usage: bench_kernels [--out <path>]");
                 std::process::exit(2);
             }
         }
@@ -91,20 +88,11 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let sizes: &[usize] = if quick { &[128] } else { &[512, 1024] };
-
     let mut rows = Vec::new();
-    for &n in sizes {
+    for n in [512, 1024] {
         eprintln!("benchmarking {n}x{n}x{n} (legacy / packed / parallel x{cores})...");
         rows.push(bench_size(n, cores));
     }
-
-    eprintln!("benchmarking render_all serial vs parallel...");
-    let (render_serial_s, serial) =
-        time_one(|| llmsim_bench::experiments::render_all_with_workers(1));
-    let (render_parallel_s, parallel) =
-        time_one(|| llmsim_bench::experiments::render_all_with_workers(cores));
-    assert_eq!(serial, parallel, "parallel render must be byte-identical");
 
     let mut json = String::new();
     json.push_str("{\n  \"gemm\": [\n");
@@ -124,17 +112,7 @@ fn main() {
             sep
         );
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"render_all\": {{\"serial_s\": {:.4}, \"parallel_s\": {:.4}, \"workers\": {}, \
-         \"speedup\": {:.2}}}",
-        render_serial_s,
-        render_parallel_s,
-        cores,
-        render_serial_s / render_parallel_s
-    );
-    json.push_str("}\n");
+    json.push_str("  ]\n}\n");
 
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("failed to write {out_path}: {e}");

@@ -1,32 +1,22 @@
 //! Replays the bundled sample trace on the heterogeneous fleet and prints
-//! the rendered study; `--out <path>` writes the report, `--spans <path>`
-//! writes the per-request span log as TSV. The span TSV is validated
-//! after writing, so CI fails on an empty or malformed span file.
+//! the rendered study; `--spans <path>` writes the per-request span log as
+//! TSV. The span TSV is validated after writing, so CI fails on an empty
+//! or malformed span file.
 
 fn main() {
-    let mut out_path: Option<String> = None;
     let mut spans_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => out_path = args.next(),
             "--spans" => spans_path = args.next(),
             other => {
-                eprintln!("unknown argument: {other} (supported: --out <path>, --spans <path>)");
+                eprintln!("unknown argument: {other} (supported: --spans <path>)");
                 std::process::exit(2);
             }
         }
     }
 
-    let rendered = llmsim_bench::experiments::ext_trace::render();
-    print!("{rendered}");
-    if let Some(path) = out_path {
-        std::fs::write(&path, &rendered).unwrap_or_else(|e| {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {path}");
-    }
+    print!("{}", llmsim_bench::experiments::ext_trace::render());
     if let Some(path) = spans_path {
         let tsv = llmsim_bench::experiments::ext_trace::spans_tsv();
         std::fs::write(&path, &tsv).unwrap_or_else(|e| {

@@ -22,27 +22,19 @@ fn json_number<'a>(line: &'a str, key: &str) -> &'a str {
 }
 
 /// The rows `bench_kernels` wrote, as README should quote them: one per
-/// GEMM size, then the `render_all` row.
+/// GEMM size.
 fn rows_from_json(json: &str) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    for line in json.lines() {
-        if line.contains("\"n\": ") {
-            rows.push(vec![
+    json.lines()
+        .filter(|line| line.contains("\"n\": "))
+        .map(|line| {
+            vec![
                 format!("{}³ BF16 GEMM (emulated)", json_number(line, "n")),
                 format!("{} s", json_number(line, "legacy_s")),
                 format!("{} s", json_number(line, "packed_s")),
                 format!("{}×", json_number(line, "packed_speedup")),
-            ]);
-        } else if line.contains("\"render_all\": ") {
-            rows.push(vec![
-                "`all_experiments` render".to_owned(),
-                format!("{} s (serial)", json_number(line, "serial_s")),
-                format!("{} s", json_number(line, "parallel_s")),
-                format!("{}×", json_number(line, "speedup")),
-            ]);
-        }
-    }
-    rows
+            ]
+        })
+        .collect()
 }
 
 /// The body rows of the first table under README's "## Kernel performance".
@@ -68,6 +60,6 @@ fn rows_from_readme(readme: &str) -> Vec<Vec<String>> {
 #[test]
 fn readme_kernel_table_quotes_bench_kernels_json() {
     let expected = rows_from_json(&repo_file("BENCH_kernels.json"));
-    assert_eq!(expected.len(), 3, "two GEMM sizes plus render_all");
+    assert_eq!(expected.len(), 2, "two GEMM sizes");
     assert_eq!(rows_from_readme(&repo_file("README.md")), expected);
 }

@@ -1030,16 +1030,13 @@ impl<'a> Engine<'a> {
         sink: &mut dyn SpanSink,
     ) {
         let rt = &mut self.runtime[request];
-        let budget_ok = !matches!(*retry_budget_left, Some(0));
-        if rt.retries < chaos.retry.max_retries && budget_ok {
+        if chaos.retry.allows(rt.retries, *retry_budget_left) {
             if let Some(b) = *retry_budget_left {
                 *retry_budget_left = Some(b - 1);
             }
             rt.retries += 1;
             self.retries_total += 1;
-            let backoff_s = chaos.retry.base_backoff_s
-                * chaos.retry.multiplier.powi(rt.retries as i32 - 1)
-                * (1.0 + chaos.retry.jitter_frac * retry_rng.next_f64());
+            let backoff_s = chaos.retry.backoff_s(rt.retries, retry_rng.next_f64());
             self.queue
                 .push(now_s + backoff_s, EventKind::Retry { request });
         } else {

@@ -1,14 +1,15 @@
-//! The seed fleet engine, kept as the fast path's benchmark baseline.
+//! The seed fleet engine, kept as the fast path's reference
+//! implementation.
 //!
 //! This is the pre-rewrite `simulate_fleet` preserved byte-for-byte in
 //! behavior: O(n) request-id scans on every event, a fresh router
 //! snapshot (names and all) allocated per routing decision, in-flight
 //! records moved inline through each replica's queue, un-memoized
 //! cost-model pricing on every arrival, and epoch-checked completion
-//! events scanned linearly out of `active`. `bench_engine` replays the
-//! same traces through both engines and reports the speedup; the fast
-//! path's correctness bar is byte-identical reports and spans against
-//! this module (proptested in `tests/fastpath.rs`).
+//! events scanned linearly out of `active`. The fast path's correctness
+//! bar is byte-identical reports and spans against this module
+//! (proptested in `tests/fastpath.rs`, plus one seeded `service_day`
+//! case on a shared prediction group).
 //!
 //! Pricing goes through the same [`predict_service_s`] as the fast
 //! engine, so any divergence is a scheduling bug, never a pricing drift.

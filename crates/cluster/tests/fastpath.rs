@@ -18,6 +18,7 @@ use llmsim_core::resilience::RetryPolicy;
 use llmsim_core::trace::span_log;
 use llmsim_core::{CostModel, CpuBackend, GpuBackend, StreamSink, VecSink};
 use llmsim_model::families;
+use llmsim_workload::{synthesize, SyntheticSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -258,4 +259,44 @@ proptest! {
         let seen: usize = sinks_a.iter().map(|s| s.spans.len()).sum();
         prop_assert_eq!(seen, reqs.len());
     }
+}
+
+/// The drawn traces above are short and linearly shaped, and give every
+/// replica its own backend `Arc`. This seeded case holds the engines to
+/// each other on the benchmark's shape instead: a `service_day` trace
+/// (MMPP bursts, log-normal length classes) on warm SPR replicas that
+/// share one `Arc`, so the whole fleet is a single prediction group. The
+/// bursts overflow the queues, so the admission path runs too.
+#[test]
+fn fast_engine_matches_legacy_on_a_shared_group_service_day_trace() {
+    let spr: Arc<dyn CostModel + Send + Sync> = Arc::new(CpuBackend::paper_spr());
+    let config = ClusterConfig::new(
+        vec![ReplicaConfig::warm(spr.clone()), ReplicaConfig::warm(spr)],
+        vec![families::opt_13b()],
+    );
+    let reqs: Vec<ClusterRequest> = synthesize(&SyntheticSpec::service_day(0x0E16_13E5, 300, 1.5))
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| ClusterRequest {
+            id: i,
+            arrival_s: r.arrival_s,
+            prompt_len: r.prompt_len,
+            gen_len: r.gen_len,
+            ..ClusterRequest::default()
+        })
+        .collect();
+    let legacy = simulate_fleet_legacy(&config, &mut JoinShortestQueue, &reqs);
+    let fast = simulate_fleet(&config, &mut JoinShortestQueue, &reqs);
+    assert!(fast.completed() > 0 && fast.rejected() > 0);
+    assert_eq!(legacy.render(), fast.render());
+    assert_eq!(
+        format!("{:?}", legacy.outcomes),
+        format!("{:?}", fast.outcomes)
+    );
+    assert_eq!(
+        format!("{:?}", legacy.replicas),
+        format!("{:?}", fast.replicas)
+    );
+    assert_eq!(legacy.events_processed, fast.events_processed);
+    assert_eq!(legacy.peak_in_flight, fast.peak_in_flight);
 }

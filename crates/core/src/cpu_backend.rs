@@ -199,7 +199,7 @@ impl CpuBackend {
     /// conservatively kept whole — residual streams are replicated).
     #[must_use]
     pub fn footprint(&self, model: &ModelConfig, request: &Request) -> Bytes {
-        let weights = Bytes::new(model.weight_bytes(self.weight_dtype).get() / self.tp_shard);
+        let weights = self.shard_weight_bytes(model);
         let kv = Bytes::new(
             model
                 .kv_cache_bytes(request.final_context(), request.batch, self.dtype)
@@ -225,14 +225,8 @@ impl CpuBackend {
     pub fn prefill_time(&self, model: &ModelConfig, batch: u64, prompt_len: u64) -> Seconds {
         let footprint = self.footprint(model, &Request::new(batch, prompt_len, 1));
         let eff_mem = self.mem.effective(self.cores, footprint);
-        let mut g = llmsim_model::prefill_graph(model, batch, prompt_len, self.dtype);
-        if self.tp_shard > 1 {
-            g = g.with_tensor_parallel(self.tp_shard);
-        }
-        if self.weight_dtype != self.dtype {
-            g = g.with_weight_dtype(self.weight_dtype);
-        }
-        self.run_phase(&g, &eff_mem).time
+        let graph = llmsim_model::prefill_graph(model, batch, prompt_len, self.dtype);
+        self.run_phase(&self.shard_graph(graph), &eff_mem).time
     }
 
     /// Wall-clock cost of one decode step for `batch` sequences attending
@@ -247,20 +241,57 @@ impl CpuBackend {
             model.weight_bytes(self.weight_dtype) + model.kv_cache_bytes(kv_len, batch, self.dtype);
         let footprint = Bytes::new(whole.get() / self.tp_shard);
         let eff_mem = self.mem.effective(self.cores, footprint);
-        let mut g = llmsim_model::decode_step_graph(model, batch, kv_len, self.dtype);
+        self.price_decode_step(model, batch, kv_len, &eff_mem).time
+    }
+
+    /// One rank's share of `model`'s weights, in the weight-stream dtype.
+    fn shard_weight_bytes(&self, model: &ModelConfig) -> Bytes {
+        Bytes::new(model.weight_bytes(self.weight_dtype).get() / self.tp_shard)
+    }
+
+    /// Memory the NUMA mode gives a model: HBM alone in HBM-only mode,
+    /// every tier otherwise.
+    fn memory_capacity(&self) -> Bytes {
+        match self.numa().memory {
+            MemoryMode::HbmOnly => self.cpu().hbm.as_ref().map_or(Bytes::ZERO, |h| h.capacity),
+            _ => self.cpu().total_memory_capacity(),
+        }
+    }
+
+    /// `graph` as one rank of this backend executes it: the
+    /// tensor-parallel shard, streaming weights in the weight dtype.
+    fn shard_graph(&self, mut graph: OpGraph) -> OpGraph {
         if self.tp_shard > 1 {
-            g = g.with_tensor_parallel(self.tp_shard);
+            graph = graph.with_tensor_parallel(self.tp_shard);
         }
         if self.weight_dtype != self.dtype {
-            g = g.with_weight_dtype(self.weight_dtype);
+            graph = graph.with_weight_dtype(self.weight_dtype);
         }
+        graph
+    }
+
+    /// Prices one decode step on `eff_mem`: the sharded decode graph under
+    /// KV compression, plus the per-sequence attention overhead, which
+    /// counts as compute.
+    fn price_decode_step(
+        &self,
+        model: &ModelConfig,
+        batch: u64,
+        kv_len: u64,
+        eff_mem: &EffectiveMemory,
+    ) -> PhaseAccum {
+        let graph = llmsim_model::decode_step_graph(model, batch, kv_len, self.dtype);
+        let mut g = self.shard_graph(graph);
         if self.kv_keep_ratio < 1.0 {
             g = g.with_kv_keep_ratio(self.kv_keep_ratio);
         }
         let overhead = self
             .attn_overhead_per_seq_layer
             .scale((batch * model.n_layers) as f64);
-        self.run_phase(&g, &eff_mem).time + overhead
+        let mut acc = self.run_phase(&g, eff_mem);
+        acc.time += overhead;
+        acc.compute_busy += overhead;
+        acc
     }
 
     /// Selects the matrix engine, its shape efficiency, and the dynamic
@@ -367,11 +398,7 @@ impl Backend for CpuBackend {
                 .map_err(SimError::InvalidRequest)?;
         }
         let footprint = self.footprint(model, request);
-        let cpu = self.cpu();
-        let available = match self.numa().memory {
-            MemoryMode::HbmOnly => cpu.hbm.as_ref().map_or(Bytes::ZERO, |h| h.capacity),
-            _ => cpu.total_memory_capacity(),
-        };
+        let available = self.memory_capacity();
         if footprint > available {
             return Err(SimError::ModelTooLarge {
                 backend: self.name(),
@@ -383,37 +410,15 @@ impl Backend for CpuBackend {
         let eff_mem = self.mem.effective(self.cores, footprint);
 
         // --- prefill ---
-        let mut prefill_graph =
+        let graph =
             llmsim_model::prefill_graph(model, request.batch, request.prompt_len, self.dtype);
-        if self.tp_shard > 1 {
-            prefill_graph = prefill_graph.with_tensor_parallel(self.tp_shard);
-        }
-        if self.weight_dtype != self.dtype {
-            prefill_graph = prefill_graph.with_weight_dtype(self.weight_dtype);
-        }
-        let prefill = self.run_phase(&prefill_graph, &eff_mem);
+        let prefill = self.run_phase(&self.shard_graph(graph), &eff_mem);
 
         // --- decode: one step per generated token after the first ---
         let mut decode = PhaseAccum::default();
-        let step_overhead = self
-            .attn_overhead_per_seq_layer
-            .scale((request.batch * model.n_layers) as f64);
         for step in 0..request.decode_steps() {
             let kv_len = request.prompt_len + 1 + step;
-            let mut g = llmsim_model::decode_step_graph(model, request.batch, kv_len, self.dtype);
-            if self.tp_shard > 1 {
-                g = g.with_tensor_parallel(self.tp_shard);
-            }
-            if self.weight_dtype != self.dtype {
-                g = g.with_weight_dtype(self.weight_dtype);
-            }
-            if self.kv_keep_ratio < 1.0 {
-                g = g.with_kv_keep_ratio(self.kv_keep_ratio);
-            }
-            let mut step_acc = self.run_phase(&g, &eff_mem);
-            step_acc.time += step_overhead;
-            step_acc.compute_busy += step_overhead;
-            decode.merge(&step_acc);
+            decode.merge(&self.price_decode_step(model, request.batch, kv_len, &eff_mem));
         }
 
         let ttft = prefill.time;
@@ -440,7 +445,7 @@ impl Backend for CpuBackend {
         let traffic_factor = 1.0 + cache_mode_inflation + snc_inflation;
         let raw_dram = prefill.dram_bytes + decode.dram_bytes;
         let total_dram = raw_dram * traffic_factor;
-        let upi_capacity = cpu.upi.effective_bandwidth().bytes_per_sec();
+        let upi_capacity = self.cpu().upi.effective_bandwidth().bytes_per_sec();
         let remote_fraction = eff_mem
             .snc_remote_fraction
             .max(eff_mem.cross_socket_fraction);
@@ -499,25 +504,15 @@ impl CostModel for CpuBackend {
     fn holds_resident(&self, model: &ModelConfig) -> bool {
         // A CPU either holds the weights in DRAM or cannot serve at all;
         // there is no streaming tier behind it.
-        let available = match self.numa().memory {
-            MemoryMode::HbmOnly => self.cpu().hbm.as_ref().map_or(Bytes::ZERO, |h| h.capacity),
-            _ => self.cpu().total_memory_capacity(),
-        };
-        Bytes::new(model.weight_bytes(self.weight_dtype).get() / self.tp_shard) <= available
+        self.shard_weight_bytes(model) <= self.memory_capacity()
     }
 
     fn kv_capacity_bytes(&self, models: &[ModelConfig]) -> Bytes {
         // Weights and KV share one memory pool on a CPU (the NUMA-mode
         // capacity); whatever the fleet's weights leave behind is cache.
         // Under TP each rank stores only its weight shard.
-        let available = match self.numa().memory {
-            MemoryMode::HbmOnly => self.cpu().hbm.as_ref().map_or(Bytes::ZERO, |h| h.capacity),
-            _ => self.cpu().total_memory_capacity(),
-        };
-        models.iter().fold(available, |left, m| {
-            left.saturating_sub(Bytes::new(
-                m.weight_bytes(self.weight_dtype).get() / self.tp_shard,
-            ))
+        models.iter().fold(self.memory_capacity(), |left, m| {
+            left.saturating_sub(self.shard_weight_bytes(m))
         })
     }
 }

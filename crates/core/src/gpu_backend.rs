@@ -105,7 +105,7 @@ impl GpuBackend {
     /// Model state (weights + final KV + activations) for a request.
     #[must_use]
     pub fn footprint(&self, model: &ModelConfig, request: &Request) -> Bytes {
-        let weights = Bytes::new(model.weight_bytes(self.dtype).get() / self.tp_shard);
+        let weights = self.shard_weight_bytes(model);
         let kv = Bytes::new(
             model
                 .kv_cache_bytes(request.final_context(), request.batch, self.dtype)
@@ -135,7 +135,7 @@ impl GpuBackend {
     #[must_use]
     pub fn serves_resident(&self, model: &ModelConfig) -> bool {
         let pinnable = (self.gpu.usable_memory().as_f64() * 0.8) as u64;
-        Bytes::new(model.weight_bytes(self.dtype).get() / self.tp_shard) <= Bytes::new(pinnable)
+        self.shard_weight_bytes(model) <= Bytes::new(pinnable)
     }
 
     /// Wall-clock cost of one prefill pass (`batch` prompts of
@@ -149,11 +149,8 @@ impl GpuBackend {
     #[must_use]
     pub fn prefill_time(&self, model: &ModelConfig, batch: u64, prompt_len: u64) -> Seconds {
         if self.serves_resident(model) {
-            let mut g = llmsim_model::prefill_graph(model, batch, prompt_len, self.dtype);
-            if self.tp_shard > 1 {
-                g = g.with_tensor_parallel(self.tp_shard);
-            }
-            self.run_phase_resident(&g).time
+            let graph = llmsim_model::prefill_graph(model, batch, prompt_len, self.dtype);
+            self.run_phase_resident(graph).time
         } else {
             let plan = OffloadPlan::new(&self.gpu, model, self.dtype);
             offload::pass_cost(
@@ -173,19 +170,25 @@ impl GpuBackend {
     #[must_use]
     pub fn decode_step_time(&self, model: &ModelConfig, batch: u64, kv_len: u64) -> Seconds {
         if self.serves_resident(model) {
-            let mut g = llmsim_model::decode_step_graph(model, batch, kv_len, self.dtype);
-            if self.tp_shard > 1 {
-                g = g.with_tensor_parallel(self.tp_shard);
-            }
-            self.run_phase_resident(&g).time
+            let graph = llmsim_model::decode_step_graph(model, batch, kv_len, self.dtype);
+            self.run_phase_resident(graph).time
         } else {
             let plan = OffloadPlan::new(&self.gpu, model, self.dtype);
             offload::pass_cost(&self.gpu, &plan, model, self.dtype, batch, 1, kv_len, true).total()
         }
     }
 
-    /// Executes one phase graph device-resident.
-    fn run_phase_resident(&self, graph: &OpGraph) -> PhaseAccum {
+    /// One rank's share of `model`'s weights.
+    fn shard_weight_bytes(&self, model: &ModelConfig) -> Bytes {
+        Bytes::new(model.weight_bytes(self.dtype).get() / self.tp_shard)
+    }
+
+    /// Executes one phase graph device-resident, as one rank's shard
+    /// under tensor parallelism.
+    fn run_phase_resident(&self, mut graph: OpGraph) -> PhaseAccum {
+        if self.tp_shard > 1 {
+            graph = graph.with_tensor_parallel(self.tp_shard);
+        }
         let bandwidth = self.gpu.memory_bandwidth.scale(calib::GPU_BW_DERATE);
         let cache = self.gpu.l2_capacity;
         let mut acc = PhaseAccum::default();
@@ -244,21 +247,18 @@ impl Backend for GpuBackend {
 
         if self.fits_resident(model, request) {
             // --- resident path ---
-            let mut prefill_graph =
-                llmsim_model::prefill_graph(model, request.batch, request.prompt_len, self.dtype);
-            if self.tp_shard > 1 {
-                prefill_graph = prefill_graph.with_tensor_parallel(self.tp_shard);
-            }
-            let prefill = self.run_phase_resident(&prefill_graph);
+            let prefill = self.run_phase_resident(llmsim_model::prefill_graph(
+                model,
+                request.batch,
+                request.prompt_len,
+                self.dtype,
+            ));
             let mut decode = PhaseAccum::default();
             for step in 0..request.decode_steps() {
                 let kv_len = request.prompt_len + 1 + step;
-                let mut g =
+                let graph =
                     llmsim_model::decode_step_graph(model, request.batch, kv_len, self.dtype);
-                if self.tp_shard > 1 {
-                    g = g.with_tensor_parallel(self.tp_shard);
-                }
-                decode.merge(&self.run_phase_resident(&g));
+                decode.merge(&self.run_phase_resident(graph));
             }
             let ttft = prefill.time;
             let tpot = if request.decode_steps() == 0 {
@@ -333,12 +333,12 @@ impl CostModel for GpuBackend {
     fn kv_capacity_bytes(&self, models: &[ModelConfig]) -> Bytes {
         // Only resident weights occupy device memory — offloaded models'
         // weights stream from host and never crowd the on-device cache.
-        models.iter().filter(|m| self.serves_resident(m)).fold(
-            self.gpu.usable_memory(),
-            |left, m| {
-                left.saturating_sub(Bytes::new(m.weight_bytes(self.dtype).get() / self.tp_shard))
-            },
-        )
+        models
+            .iter()
+            .filter(|m| self.serves_resident(m))
+            .fold(self.gpu.usable_memory(), |left, m| {
+                left.saturating_sub(self.shard_weight_bytes(m))
+            })
     }
 }
 

@@ -302,9 +302,7 @@ impl<'a> Engine<'a> {
     /// Routes a faulted/OOM-failed job: schedule a backoff retry if policy
     /// and budget allow, otherwise record the terminal failure.
     fn fail_or_retry(&mut self, mut job: Job, now: f64, kind: FailureKind) {
-        let can_retry = job.retries < self.cfg.retry.max_retries
-            && self.retry_budget_left.is_none_or(|b| b > 0);
-        if !can_retry {
+        if !self.cfg.retry.allows(job.retries, self.retry_budget_left) {
             self.finish(&job, TerminalState::Failed(kind), now);
             return;
         }
@@ -317,9 +315,10 @@ impl<'a> Engine<'a> {
         // gone (the client re-issues the stream).
         job.produced = 0;
         job.first_token_s = None;
-        let r = &self.cfg.retry;
-        let mut backoff = r.base_backoff_s * r.multiplier.powi(job.retries as i32 - 1);
-        backoff *= 1.0 + r.jitter_frac * self.injector.rng.next_f64();
+        let backoff = self
+            .cfg
+            .retry
+            .backoff_s(job.retries, self.injector.rng.next_f64());
         let seq = self.retry_seq;
         self.retry_seq += 1;
         push_pending(

@@ -323,6 +323,22 @@ impl RetryPolicy {
             retry_budget,
         }
     }
+
+    /// Whether a request that has already retried `retries` times may
+    /// retry again, with `budget_left` retries left in the run's budget
+    /// (`None` is unlimited).
+    #[must_use]
+    pub fn allows(&self, retries: u32, budget_left: Option<u64>) -> bool {
+        retries < self.max_retries && budget_left.is_none_or(|b| b > 0)
+    }
+
+    /// Backoff before retry number `retry` (1 for the first), with `u` a
+    /// uniform draw from `[0, 1)`:
+    /// `base_backoff_s · multiplier^(retry−1) · (1 + jitter_frac · u)`.
+    #[must_use]
+    pub fn backoff_s(&self, retry: u32, u: f64) -> f64 {
+        self.base_backoff_s * self.multiplier.powi(retry as i32 - 1) * (1.0 + self.jitter_frac * u)
+    }
 }
 
 /// What to do when the KV budget is exhausted mid-run.
