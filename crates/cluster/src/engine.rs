@@ -25,11 +25,19 @@
 //!   per (backend, model, batch, context length) in a [`StepTable`]; the
 //!   memoized value is the *same fold* the legacy engine computes, so
 //!   reuse is bit-exact.
-//! - **Per-event allocation** — router snapshots (`Vec<ReplicaView>` with
-//!   a fresh name `String` per replica), in-flight records moved through
-//!   queues by value. Views are now built once and refreshed in place,
-//!   and in-flight records live in a generation-stamped [`Slab`] with
-//!   replicas holding 8-byte keys (see `slab.rs`).
+//! - **Per-event allocation and lookups** — router snapshots
+//!   (`Vec<ReplicaView>` with a name `String` per replica) rebuilt on
+//!   every arrival, in-flight records moved through queues by value, and
+//!   one heap holding every pending arrival. Views are now built once and
+//!   refreshed in place: an arrival makes one memo lookup per backend
+//!   group rather than per replica, reads residency from a (replica,
+//!   model) table built at setup, and admission reuses the routed view's
+//!   estimate; a dispatch without prefix hits reads prefill and service
+//!   from one memo entry. In-flight records live in a generation-stamped
+//!   [`Slab`] with replicas holding 8-byte keys (see `slab.rs`), and the
+//!   [`EventQueue`] keeps every event pushed at setup (arrivals, faults,
+//!   warmups) in a sorted run beside a heap of in-flight work (see
+//!   `event.rs`).
 //! - **Linear stale-event filtering** — completions scanned `active` and
 //!   compared crash epochs. A [`SlotKey`]'s generation now proves
 //!   liveness in one lookup; crashes and hedge cancellations invalidate
@@ -310,6 +318,10 @@ pub(crate) fn predict_service_s(
     })
 }
 
+/// A [`PredictCache`] service key: (backend group, model index, batch,
+/// prompt, gen).
+type ServiceKey = (u32, u32, u64, u64, u64);
+
 /// Memo of cost-model predictions, keyed by (backend group, model index,
 /// batch, prompt, gen). Replicas sharing one `Arc`'d backend share one
 /// group, so an 8-replica homogeneous fleet prices each distinct request
@@ -318,23 +330,27 @@ pub(crate) fn predict_service_s(
 /// kv_len)` step is priced once per run however many request shapes walk
 /// it; the fold itself is the one [`predict_service_s`] computes, with
 /// only the source of each addend changed, so hits and misses alike are
-/// bit-exact. `BTreeMap` rather than a hash map: iteration order never
-/// matters here (the memo is only probed), but the workspace determinism
-/// lint (D001) bans randomized-layout containers from sim-state crates
-/// outright.
-struct PredictCache {
-    service: BTreeMap<(u32, u32, u64, u64, u64), f64>,
+/// bit-exact. A service entry holds its prefill too, read from the
+/// prefill memo when the entry was made, so a dispatch without prefix
+/// hits prices both phases in one lookup. `BTreeMap` rather than a hash
+/// map: iteration order never matters here (the memo is only probed),
+/// but the workspace determinism lint (D001) bans randomized-layout
+/// containers from sim-state crates outright.
+struct PredictCache<'a> {
+    /// `(prefill, service)` seconds per request shape.
+    service: BTreeMap<ServiceKey, (f64, f64)>,
     prefill: BTreeMap<(u32, u32, u64, u64), f64>,
-    /// Decode-step prices: `steps[group * models + model]`.
+    /// Decode-step prices: `steps[group * models.len() + model]`.
     steps: Vec<StepTable>,
-    /// Number of served models (the stride of `steps`).
-    models: usize,
+    models: &'a [ModelConfig],
+    /// The backend of each group: its first replica's.
+    backends: Vec<&'a (dyn CostModel + Send + Sync)>,
     /// Backend-identity group of each replica (`Arc::ptr_eq` classes).
     groups: Vec<u32>,
 }
 
-impl PredictCache {
-    fn new(replicas: &[ReplicaConfig], models: usize) -> Self {
+impl<'a> PredictCache<'a> {
+    fn new(replicas: &'a [ReplicaConfig], models: &'a [ModelConfig]) -> Self {
         let mut reps: Vec<&Arc<dyn CostModel + Send + Sync>> = Vec::new();
         let groups = replicas
             .iter()
@@ -350,57 +366,56 @@ impl PredictCache {
         PredictCache {
             service: BTreeMap::new(),
             prefill: BTreeMap::new(),
-            steps: vec![StepTable::new(); reps.len() * models],
+            steps: vec![StepTable::new(); reps.len() * models.len()],
             models,
+            backends: reps.into_iter().map(|b| b.as_ref()).collect(),
             groups,
         }
     }
 
-    /// Memoized [`predict_service_s`] for replica `idx`'s backend.
-    #[allow(clippy::too_many_arguments)] // mirrors predict_service_s plus the cache key parts
-    fn service(
-        &mut self,
-        idx: usize,
-        backend: &dyn CostModel,
-        model_ix: usize,
-        model: &ModelConfig,
-        batch: u64,
-        prompt_len: u64,
-        gen_len: u64,
-    ) -> f64 {
-        let group = self.groups[idx];
-        let key = (group, model_ix as u32, batch, prompt_len, gen_len);
-        if let Some(&service) = self.service.get(&key) {
-            return service;
-        }
-        let prefill = self.prefill(idx, backend, model_ix, model, batch, prompt_len);
-        let service = self.steps[group as usize * self.models + model_ix].fold_steps(
-            backend,
-            model,
-            batch,
-            prompt_len + 1,
-            gen_len.saturating_sub(1),
-            prefill,
-        );
-        self.service.insert(key, service);
-        service
+    /// Number of backend groups.
+    fn group_count(&self) -> usize {
+        self.backends.len()
     }
 
-    /// Memoized prefill time for replica `idx`'s backend.
-    fn prefill(
-        &mut self,
-        idx: usize,
-        backend: &dyn CostModel,
-        model_ix: usize,
-        model: &ModelConfig,
-        batch: u64,
-        prompt_len: u64,
-    ) -> f64 {
-        let key = (self.groups[idx], model_ix as u32, batch, prompt_len);
+    /// Backend group of replica `replica`.
+    fn group_of(&self, replica: usize) -> usize {
+        self.groups[replica] as usize
+    }
+
+    /// Memoized `(prefill, service)` of `req` at batch width `batch` on
+    /// `group`'s backend: the prefill and [`predict_service_s`].
+    fn service(&mut self, group: usize, req: &ClusterRequest, batch: u64) -> (f64, f64) {
+        let key = (
+            group as u32,
+            req.model as u32,
+            batch,
+            req.prompt_len,
+            req.gen_len,
+        );
+        if let Some(&entry) = self.service.get(&key) {
+            return entry;
+        }
+        let prefill = self.prefill(group, req.model, batch, req.prompt_len);
+        let service = self.steps[group * self.models.len() + req.model].fold_steps(
+            self.backends[group],
+            &self.models[req.model],
+            batch,
+            req.prompt_len + 1,
+            req.gen_len.saturating_sub(1),
+            prefill,
+        );
+        self.service.insert(key, (prefill, service));
+        (prefill, service)
+    }
+
+    /// Memoized prefill time on `group`'s backend.
+    fn prefill(&mut self, group: usize, model: usize, batch: u64, prompt_len: u64) -> f64 {
+        let (backend, config) = (self.backends[group], &self.models[model]);
         *self
             .prefill
-            .entry(key)
-            .or_insert_with(|| backend.prefill_time(model, batch, prompt_len).as_f64())
+            .entry((group as u32, model as u32, batch, prompt_len))
+            .or_insert_with(|| backend.prefill_time(config, batch, prompt_len).as_f64())
     }
 }
 
@@ -489,11 +504,17 @@ struct Engine<'a> {
     replicas: Vec<Replica>,
     slab: Slab,
     queue: EventQueue,
-    cache: PredictCache,
+    cache: PredictCache<'a>,
     /// Persistent router snapshot, refreshed in place per routing call
-    /// (names are built once — the legacy engine allocated a `String` per
-    /// replica per arrival here).
+    /// (the legacy engine allocated a fresh `Vec` per arrival here).
     views: Vec<ReplicaView>,
+    /// Per-routing-call scratch: the batch-1 service estimate of the
+    /// request being routed on each backend group.
+    group_est: Vec<f64>,
+    /// `resident[replica * models + model]`: whether the replica's backend
+    /// holds the model resident (`CostModel::holds_resident` is pure, so
+    /// it is asked once per pair at setup).
+    resident: Vec<bool>,
     runtime: Vec<ReqRuntime>,
     outcomes: Vec<Option<ClusterOutcome>>,
     resolved: usize,
@@ -520,15 +541,21 @@ impl<'a> Engine<'a> {
     /// Routes one attempt of `req` at `now_s`: refreshes the fleet
     /// snapshot (hiding `exclude`d replicas — those already hosting an
     /// attempt of this request), asks the policy, and re-validates the
-    /// choice.
+    /// choice. Returns the chosen replica and its view's batch-1 service
+    /// estimate, which admission reuses.
     fn route_once(
         &mut self,
         req: &ClusterRequest,
         now_s: f64,
         exclude: &[usize],
         router: &mut dyn RouterPolicy,
-    ) -> Option<usize> {
-        let model = &self.config.models[req.model];
+    ) -> Option<(usize, f64)> {
+        // Replicas sharing a backend share its prediction: one memo
+        // lookup per group, not per replica.
+        for (g, est) in self.group_est.iter_mut().enumerate() {
+            *est = self.cache.service(g, req, 1).1;
+        }
+        let models = self.config.models.len();
         for (i, r) in self.replicas.iter().enumerate() {
             let routable = r.routable(now_s);
             let v = &mut self.views[i];
@@ -555,35 +582,19 @@ impl<'a> Engine<'a> {
             v.warm = r.state == ReplicaState::Warm;
             v.warmup_remaining_s = r.warmup_remaining_s(now_s);
             v.est_start_delay_s = r.est_start_delay_s(now_s);
-            v.est_service_s = self.cache.service(
-                i,
-                r.cfg.backend.as_ref(),
-                req.model,
-                model,
-                1,
-                req.prompt_len,
-                req.gen_len,
-            );
-            v.resident = r.cfg.backend.holds_resident(model);
+            let group = self.cache.group_of(i);
+            v.est_service_s = self.group_est[group];
+            v.resident = self.resident[i * models + req.model];
             // Prefix-cache signals (zeros / false on the fixed-slot path,
             // so cache-aware policies degrade gracefully without KV).
             if let Some(kv) = &r.kv {
                 let hit_tokens = kv.probe_hits(req) * kv.block_tokens;
                 v.predicted_hit_tokens = hit_tokens;
                 v.est_prefix_saved_s = if hit_tokens > 0 {
-                    let full = self.cache.prefill(
-                        i,
-                        r.cfg.backend.as_ref(),
-                        req.model,
-                        model,
-                        1,
-                        req.prompt_len,
-                    );
+                    let full = self.cache.prefill(group, req.model, 1, req.prompt_len);
                     let suffix = self.cache.prefill(
-                        i,
-                        r.cfg.backend.as_ref(),
+                        group,
                         req.model,
-                        model,
                         1,
                         req.prompt_len.saturating_sub(hit_tokens).max(1),
                     );
@@ -602,33 +613,34 @@ impl<'a> Engine<'a> {
                 v.kv_total_blocks = 0;
             }
         }
-        router.route(req, &self.views).filter(|&i| {
-            i < self.replicas.len()
-                && self.replicas[i].can_accept(now_s)
-                && !exclude.contains(&i)
-                && self.stage_of[i].is_none_or(|p| p.stage == 0)
-                && self.replicas[i]
-                    .kv
-                    .as_ref()
-                    .is_none_or(|kv| kv.blocks_for(req.total_tokens()) <= kv.total_blocks)
-        })
+        router
+            .route(req, &self.views)
+            .filter(|&i| {
+                i < self.replicas.len()
+                    && self.replicas[i].can_accept(now_s)
+                    && !exclude.contains(&i)
+                    && self.stage_of[i].is_none_or(|p| p.stage == 0)
+                    && self.replicas[i]
+                        .kv
+                        .as_ref()
+                        .is_none_or(|kv| kv.blocks_for(req.total_tokens()) <= kv.total_blocks)
+            })
+            .map(|i| (i, self.views[i].est_service_s))
     }
 
     /// Enqueues one attempt of `req` on replica `i` and dispatches if a
-    /// slot is free. On a pipeline member (head via routing, downstream
-    /// via [`EventKind::StageArrive`]) the backlog estimate is the
-    /// replica's own stage share — `1/depth` of the full prediction.
-    fn admit(&mut self, i: usize, req: &ClusterRequest, now_s: f64, sink: &mut dyn SpanSink) {
-        let model = &self.config.models[req.model];
-        let mut est = self.cache.service(
-            i,
-            self.replicas[i].cfg.backend.as_ref(),
-            req.model,
-            model,
-            1,
-            req.prompt_len,
-            req.gen_len,
-        );
+    /// slot is free. `est` is the request's batch-1 service estimate on
+    /// `i`; on a pipeline member (head via routing, downstream via
+    /// [`EventKind::StageArrive`]) the backlog estimate is the replica's
+    /// own stage share — `1/depth` of it.
+    fn admit(
+        &mut self,
+        i: usize,
+        req: &ClusterRequest,
+        mut est: f64,
+        now_s: f64,
+        sink: &mut dyn SpanSink,
+    ) {
         // Gated on depth > 1 so a single-stage chain stays bitwise
         // identical to a standalone replica.
         if let Some(p) = self.stage_of[i] {
@@ -691,7 +703,6 @@ impl<'a> Engine<'a> {
                 return;
             };
             let req = self.request(entry.request);
-            let model = &self.config.models[req.model];
             let batch = self.replicas[idx].active.len() as u64 + 1;
             // Multiplying by the slowdown factor is exact: the factor is
             // 1.0 outside any window, and x × 1.0 is bitwise x.
@@ -705,53 +716,14 @@ impl<'a> Engine<'a> {
             // because the cached KV participates in every attention step.
             // The hit-free arm runs the exact historical float ops, so a
             // KV-less fleet reproduces the seed engine bit for bit.
+            let group = self.cache.group_of(idx);
+            let (p_full, s_full) = self.cache.service(group, &req, batch);
             let (prefill, service) = if hit_tokens > 0 {
                 let suffix = req.prompt_len.saturating_sub(hit_tokens).max(1);
-                let p_suffix = self.cache.prefill(
-                    idx,
-                    self.replicas[idx].cfg.backend.as_ref(),
-                    req.model,
-                    model,
-                    batch,
-                    suffix,
-                ) * slow;
-                let p_full = self.cache.prefill(
-                    idx,
-                    self.replicas[idx].cfg.backend.as_ref(),
-                    req.model,
-                    model,
-                    batch,
-                    req.prompt_len,
-                ) * slow;
-                let s_full = self.cache.service(
-                    idx,
-                    self.replicas[idx].cfg.backend.as_ref(),
-                    req.model,
-                    model,
-                    batch,
-                    req.prompt_len,
-                    req.gen_len,
-                ) * slow;
-                (p_suffix, s_full - p_full + p_suffix)
+                let p_suffix = self.cache.prefill(group, req.model, batch, suffix) * slow;
+                (p_suffix, s_full * slow - p_full * slow + p_suffix)
             } else {
-                let prefill = self.cache.prefill(
-                    idx,
-                    self.replicas[idx].cfg.backend.as_ref(),
-                    req.model,
-                    model,
-                    batch,
-                    req.prompt_len,
-                ) * slow;
-                let service = self.cache.service(
-                    idx,
-                    self.replicas[idx].cfg.backend.as_ref(),
-                    req.model,
-                    model,
-                    batch,
-                    req.prompt_len,
-                    req.gen_len,
-                ) * slow;
-                (prefill, service)
+                (p_full * slow, s_full * slow)
             };
             // Pipeline stage share: each stage of a chain runs 1/depth of
             // the layer stack, so it charges 1/depth of the full
@@ -1170,9 +1142,10 @@ pub fn simulate_fleet_traced(
             r
         })
         .collect();
-    // Every arrival, every scheduled fault, one warmup/recovery per
-    // replica and the autoscaler tick fit without regrowing; completions
-    // reuse the space arrivals vacate.
+    // Every setup push (each arrival, scheduled fault and cold start, and
+    // the autoscaler tick) fits on the queue's sorted run without
+    // regrowing; the events the replay schedules as it goes sit in the
+    // queue's heap, which holds only in-flight work.
     let mut queue = EventQueue::with_capacity(
         requests.len() + fault_schedule.len() + config.replicas.len() + 1,
     );
@@ -1196,6 +1169,8 @@ pub fn simulate_fleet_traced(
             }
         }
     }
+    let cache = PredictCache::new(&config.replicas, &config.models);
+    let groups = cache.group_count();
     let mut engine = Engine {
         config,
         requests,
@@ -1208,14 +1183,19 @@ pub fn simulate_fleet_traced(
                 .sum::<usize>()
                 .min(requests.len().max(1)),
         ),
-        cache: PredictCache::new(&config.replicas, config.models.len()),
+        cache,
+        group_est: vec![0.0; groups],
+        resident: config
+            .replicas
+            .iter()
+            .flat_map(|r| config.models.iter().map(|m| r.backend.holds_resident(m)))
+            .collect(),
         views: replicas
             .iter()
             .enumerate()
             .map(|(i, r)| ReplicaView {
                 idx: i,
                 now_s: 0.0,
-                name: r.cfg.backend.name(),
                 queue_len: 0,
                 active: 0,
                 queue_cap: 0,
@@ -1284,28 +1264,14 @@ pub fn simulate_fleet_traced(
             EventKind::Arrival { request } => {
                 let req = engine.request(request);
                 match engine.route_once(&req, now, &[], router) {
-                    Some(i) => {
-                        engine.admit(i, &req, now, sink);
+                    Some((i, est)) => {
+                        engine.admit(i, &req, est, now, sink);
                         engine.runtime[request].attempts.push(i);
                         if let Some(h) = &chaos.hedge {
                             // Hedge deadline: a fraction of the e2e SLO,
                             // or of the routed replica's own service
                             // estimate when the fleet has no SLO.
-                            let deadline_s = match &config.slo {
-                                Some(slo) => slo.e2e_s,
-                                None => {
-                                    let model = &config.models[req.model];
-                                    engine.cache.service(
-                                        i,
-                                        engine.replicas[i].cfg.backend.as_ref(),
-                                        req.model,
-                                        model,
-                                        1,
-                                        req.prompt_len,
-                                        req.gen_len,
-                                    )
-                                }
-                            };
+                            let deadline_s = config.slo.map_or(est, |slo| slo.e2e_s);
                             engine.queue.push(
                                 req.arrival_s + h.after_frac * deadline_s,
                                 EventKind::HedgeFire { request },
@@ -1343,8 +1309,8 @@ pub fn simulate_fleet_traced(
                 }
                 let req = engine.request(request);
                 match engine.route_once(&req, now, &[], router) {
-                    Some(i) => {
-                        engine.admit(i, &req, now, sink);
+                    Some((i, est)) => {
+                        engine.admit(i, &req, est, now, sink);
                         engine.runtime[request].attempts.push(i);
                     }
                     // Nowhere to go right now: burns another retry (or
@@ -1369,10 +1335,11 @@ pub fn simulate_fleet_traced(
                 let n_exclude = rt.attempts.as_slice().len();
                 exclude[..n_exclude].copy_from_slice(rt.attempts.as_slice());
                 let req = engine.request(request);
-                if let Some(i) = engine.route_once(&req, now, &exclude[..n_exclude], router) {
+                if let Some((i, est)) = engine.route_once(&req, now, &exclude[..n_exclude], router)
+                {
                     engine.runtime[request].hedged = true;
                     engine.hedges_total += 1;
-                    engine.admit(i, &req, now, sink);
+                    engine.admit(i, &req, est, now, sink);
                     engine.runtime[request].attempts.push(i);
                 }
             }
@@ -1479,7 +1446,9 @@ pub fn simulate_fleet_traced(
                 // already bounded the chain's in-flight work) and never
                 // consults the router.
                 let req = engine.request(request);
-                engine.admit(replica, &req, now, sink);
+                let group = engine.cache.group_of(replica);
+                let est = engine.cache.service(group, &req, 1).1;
+                engine.admit(replica, &req, est, now, sink);
             }
             EventKind::KvGrow { replica, slot } => {
                 // Stale key (the sequence completed, crashed, was hedge-

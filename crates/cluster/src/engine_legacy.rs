@@ -863,7 +863,6 @@ fn view_of(
     ReplicaView {
         idx,
         now_s,
-        name: replica.cfg.backend.name(),
         queue_len: replica.queue.len(),
         active: replica.active.len(),
         // Standbys (and failed, draining or partitioned replicas) are

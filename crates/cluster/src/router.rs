@@ -13,14 +13,12 @@ use crate::engine::ClusterRequest;
 use llmsim_core::resilience::SimRng;
 
 /// A router-visible snapshot of one replica at one arrival instant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReplicaView {
     /// Fleet index (stable across the run).
     pub idx: usize,
     /// Simulation time the snapshot was taken at (the routing instant).
     pub now_s: f64,
-    /// Backend name, e.g. `"Xeon 4th Max 9468 (quad_flat, 48c)"`.
-    pub name: String,
     /// Requests waiting in the bounded queue.
     pub queue_len: usize,
     /// Requests in service.
@@ -288,6 +286,8 @@ pub struct HealthAware<P> {
     /// Half-open probe outstanding (allow no further traffic until it
     /// resolves).
     probing: Vec<bool>,
+    /// The views the inner policy sees, rewritten in place on every route.
+    views: Vec<ReplicaView>,
 }
 
 /// Substream tag for breaker jitter, distinct from the per-replica fault
@@ -308,6 +308,7 @@ impl<P: RouterPolicy> HealthAware<P> {
             fails: Vec::new(),
             ejected_until_s: Vec::new(),
             probing: Vec::new(),
+            views: Vec::new(),
         }
     }
 
@@ -352,17 +353,17 @@ impl<P: RouterPolicy> RouterPolicy for HealthAware<P> {
     fn route(&mut self, request: &ClusterRequest, replicas: &[ReplicaView]) -> Option<usize> {
         self.ensure(replicas.len());
         let now_s = replicas.first().map_or(0.0, |v| v.now_s);
-        let masked: Vec<ReplicaView> = replicas
-            .iter()
-            .map(|v| {
-                let mut v = v.clone();
-                if v.idx < self.fails.len() && self.masked(v.idx, now_s) {
-                    v.queue_cap = 0;
-                }
-                v
-            })
-            .collect();
-        let choice = self.inner.route(request, &masked);
+        let mut views = std::mem::take(&mut self.views);
+        views.clear();
+        views.extend(replicas.iter().map(|v| {
+            let mut v = *v;
+            if v.idx < self.fails.len() && self.masked(v.idx, now_s) {
+                v.queue_cap = 0;
+            }
+            v
+        }));
+        let choice = self.inner.route(request, &views);
+        self.views = views;
         if let Some(i) = choice {
             if i < self.fails.len() && self.fails[i] >= self.threshold {
                 // The breaker was half-open and this is its probe.
@@ -402,7 +403,6 @@ mod tests {
         ReplicaView {
             idx,
             now_s: 0.0,
-            name: format!("r{idx}"),
             queue_len: in_flight,
             active: 0,
             queue_cap: cap,
@@ -473,16 +473,16 @@ mod tests {
         warm_cache.est_prefix_saved_s = 0.4;
         let mut r = req();
         r.session = 77;
-        assert_eq!(p.route(&r, &[cold.clone(), warm_cache.clone()]), Some(1));
+        assert_eq!(p.route(&r, &[cold, warm_cache]), Some(1));
         // Savings hold the session home even when an idle replica offers
         // a shorter queue — as long as the saved prefill covers the wait.
-        let mut idle = cold.clone();
+        let mut idle = cold;
         idle.est_start_delay_s = 0.7;
         warm_cache.est_start_delay_s = 1.0;
-        assert_eq!(p.route(&r, &[idle.clone(), warm_cache.clone()]), Some(1));
+        assert_eq!(p.route(&r, &[idle, warm_cache]), Some(1));
         // Once queueing at home exceeds the savings, the session migrates.
         warm_cache.est_start_delay_s = 1.2;
-        assert_eq!(p.route(&r, &[idle, warm_cache.clone()]), Some(0));
+        assert_eq!(p.route(&r, &[idle, warm_cache]), Some(0));
         // A full home is simply not routable.
         let mut full_home = warm_cache;
         full_home.queue_len = 4;

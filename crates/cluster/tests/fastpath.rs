@@ -264,14 +264,29 @@ proptest! {
 /// The drawn traces above are short and linearly shaped, and give every
 /// replica its own backend `Arc`. This seeded case holds the engines to
 /// each other on the benchmark's shape instead: a `service_day` trace
-/// (MMPP bursts, log-normal length classes) on warm SPR replicas that
-/// share one `Arc`, so the whole fleet is a single prediction group. The
-/// bursts overflow the queues, so the admission path runs too.
+/// (MMPP bursts, log-normal length classes) on warm replicas that share
+/// backend `Arc`s, so prediction groups span several replicas. Two fleets
+/// run it: two SPR replicas sharing one `Arc` (the whole fleet one group)
+/// under JSQ, and SPR, A100, SPR, A100 on two interleaved `Arc`s (each
+/// group's replicas non-adjacent) under `HeteroAware`, which reads the
+/// per-group service estimates. Every replica serves and the bursts
+/// overflow the queues, so the admission path runs too.
 #[test]
 fn fast_engine_matches_legacy_on_a_shared_group_service_day_trace() {
     let spr: Arc<dyn CostModel + Send + Sync> = Arc::new(CpuBackend::paper_spr());
-    let config = ClusterConfig::new(
-        vec![ReplicaConfig::warm(spr.clone()), ReplicaConfig::warm(spr)],
+    let a100: Arc<dyn CostModel + Send + Sync> = Arc::new(GpuBackend::paper_a100());
+    let shared = ClusterConfig::new(
+        vec![
+            ReplicaConfig::warm(spr.clone()),
+            ReplicaConfig::warm(spr.clone()),
+        ],
+        vec![families::opt_13b()],
+    );
+    let interleaved = ClusterConfig::new(
+        [&spr, &a100, &spr, &a100]
+            .into_iter()
+            .map(|b| ReplicaConfig::warm(b.clone()))
+            .collect(),
         vec![families::opt_13b()],
     );
     let reqs: Vec<ClusterRequest> = synthesize(&SyntheticSpec::service_day(0x0E16_13E5, 300, 1.5))
@@ -285,18 +300,22 @@ fn fast_engine_matches_legacy_on_a_shared_group_service_day_trace() {
             ..ClusterRequest::default()
         })
         .collect();
-    let legacy = simulate_fleet_legacy(&config, &mut JoinShortestQueue, &reqs);
-    let fast = simulate_fleet(&config, &mut JoinShortestQueue, &reqs);
-    assert!(fast.completed() > 0 && fast.rejected() > 0);
-    assert_eq!(legacy.render(), fast.render());
-    assert_eq!(
-        format!("{:?}", legacy.outcomes),
-        format!("{:?}", fast.outcomes)
-    );
-    assert_eq!(
-        format!("{:?}", legacy.replicas),
-        format!("{:?}", fast.replicas)
-    );
-    assert_eq!(legacy.events_processed, fast.events_processed);
-    assert_eq!(legacy.peak_in_flight, fast.peak_in_flight);
+    // `router(1)` is JSQ, `router(3)` is `HeteroAware`.
+    for (config, router_ix) in [(&shared, 1), (&interleaved, 3)] {
+        let legacy = simulate_fleet_legacy(config, &mut *router(router_ix), &reqs);
+        let fast = simulate_fleet(config, &mut *router(router_ix), &reqs);
+        assert!(fast.completed() > 0 && fast.rejected() > 0);
+        assert!(fast.replicas.iter().all(|r| r.served > 0));
+        assert_eq!(legacy.render(), fast.render());
+        assert_eq!(
+            format!("{:?}", legacy.outcomes),
+            format!("{:?}", fast.outcomes)
+        );
+        assert_eq!(
+            format!("{:?}", legacy.replicas),
+            format!("{:?}", fast.replicas)
+        );
+        assert_eq!(legacy.events_processed, fast.events_processed);
+        assert_eq!(legacy.peak_in_flight, fast.peak_in_flight);
+    }
 }

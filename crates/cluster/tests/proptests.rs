@@ -308,7 +308,6 @@ proptest! {
             .map(|(idx, &(in_flight, cap))| ReplicaView {
                 idx,
                 now_s: 0.0,
-                name: format!("r{idx}"),
                 queue_len: in_flight.min(cap),
                 active: 0,
                 queue_cap: cap,

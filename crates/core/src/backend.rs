@@ -41,13 +41,17 @@ pub trait Backend {
 ///
 /// # Purity
 ///
-/// [`Self::prefill_time`] and [`Self::decode_step_time`] are pure
-/// functions of their arguments: the same backend asked about the same
-/// model and shape returns the same `Seconds`, bit for bit, however often
-/// and in whatever order it is asked. Serving loops rely on this to price
-/// each step once ([`crate::pricing::StepTable`]) and to memoize whole
-/// service times, so an implementation must not read mutable state (a
-/// clock, a counter, a random stream) into either price.
+/// [`Self::prefill_time`], [`Self::decode_step_time`],
+/// [`Self::weight_bytes`], [`Self::holds_resident`] and
+/// [`Self::kv_capacity_bytes`] are pure functions of their arguments: the
+/// same backend asked about the same model and shape (or model set)
+/// returns the same value, bit for bit, however often and in whatever
+/// order it is asked. Serving loops rely on this to price each step once
+/// ([`crate::pricing::StepTable`]) and to memoize whole service times,
+/// the cluster engine asks `holds_resident` once per replica and model at
+/// setup, and every warmup and KV-pool sizing re-asks the other two and
+/// expects the same answer. So an implementation must not read mutable
+/// state (a clock, a counter, a random stream) into any of them.
 pub trait CostModel: Backend {
     /// Wall-clock cost of one prefill pass: `batch` prompts of
     /// `prompt_len` tokens. Pure (see the trait docs).
@@ -57,7 +61,8 @@ pub trait CostModel: Backend {
     /// over `kv_len` context tokens. Pure (see the trait docs).
     fn decode_step_time(&self, model: &ModelConfig, batch: u64, kv_len: u64) -> Seconds;
 
-    /// Bytes of weight state this backend keeps for `model`.
+    /// Bytes of weight state this backend keeps for `model`. Pure (see
+    /// the trait docs).
     fn weight_bytes(&self, model: &ModelConfig) -> Bytes;
 
     /// Sustained bandwidth at which a cold replica pages weights in — the
@@ -65,13 +70,14 @@ pub trait CostModel: Backend {
     fn weight_load_bandwidth(&self) -> GbPerSec;
 
     /// Whether `model`'s weights stay resident in this backend's fast
-    /// local memory (false = streamed/offloaded every pass).
+    /// local memory (false = streamed/offloaded every pass). Pure (see
+    /// the trait docs).
     fn holds_resident(&self, model: &ModelConfig) -> bool;
 
     /// Bytes left for KV-cache state after the fleet's weight footprint
     /// is placed: the memory pool serving reads KV from, minus the weight
     /// bytes of every model in `models` that lives in that pool. Zero
     /// (saturating) when the weights alone overflow it — such a backend
-    /// can hold no paged cache at all.
+    /// can hold no paged cache at all. Pure (see the trait docs).
     fn kv_capacity_bytes(&self, models: &[ModelConfig]) -> Bytes;
 }
