@@ -508,9 +508,13 @@ struct Engine<'a> {
     /// Persistent router snapshot, refreshed in place per routing call
     /// (the legacy engine allocated a fresh `Vec` per arrival here).
     views: Vec<ReplicaView>,
-    /// Per-routing-call scratch: the batch-1 service estimate of the
-    /// request being routed on each backend group.
-    group_est: Vec<f64>,
+    /// Per-routing-call scratch: the batch-1 `(prefill, service)` estimate
+    /// of the request being routed on each backend group.
+    group_est: Vec<(f64, f64)>,
+    /// Per-routing-call scratch: `(group, hit tokens, est_prefix_saved_s)`
+    /// for each prefix-hit length already priced on a backend group, so
+    /// replicas of one group with equal hits share one prefill lookup.
+    saved_est: Vec<(usize, u64, f64)>,
     /// `resident[replica * models + model]`: whether the replica's backend
     /// holds the model resident (`CostModel::holds_resident` is pure, so
     /// it is asked once per pair at setup).
@@ -553,8 +557,9 @@ impl<'a> Engine<'a> {
         // Replicas sharing a backend share its prediction: one memo
         // lookup per group, not per replica.
         for (g, est) in self.group_est.iter_mut().enumerate() {
-            *est = self.cache.service(g, req, 1).1;
+            *est = self.cache.service(g, req, 1);
         }
+        self.saved_est.clear();
         let models = self.config.models.len();
         for (i, r) in self.replicas.iter().enumerate() {
             let routable = r.routable(now_s);
@@ -566,7 +571,7 @@ impl<'a> Engine<'a> {
             // context can never dispatch it: hide it like a partition.
             let kv_fits =
                 r.kv.as_ref()
-                    .is_none_or(|kv| kv.blocks_for(req.total_tokens()) <= kv.total_blocks);
+                    .is_none_or(|kv| kv.final_blocks(req) <= kv.total_blocks);
             // A downstream pipeline stage only ever receives work from
             // its upstream stage, never from the router.
             let is_head = self.stage_of[i].is_none_or(|p| p.stage == 0);
@@ -583,26 +588,32 @@ impl<'a> Engine<'a> {
             v.warmup_remaining_s = r.warmup_remaining_s(now_s);
             v.est_start_delay_s = r.est_start_delay_s(now_s);
             let group = self.cache.group_of(i);
-            v.est_service_s = self.group_est[group];
+            v.est_service_s = self.group_est[group].1;
             v.resident = self.resident[i * models + req.model];
             // Prefix-cache signals (zeros / false on the fixed-slot path,
             // so cache-aware policies degrade gracefully without KV).
             if let Some(kv) = &r.kv {
-                let hit_tokens = kv.probe_hits(req) * kv.block_tokens;
+                let probe = kv.probe(req);
+                let hit_tokens = probe.hit_blocks * kv.block_tokens;
                 v.predicted_hit_tokens = hit_tokens;
-                v.est_prefix_saved_s = if hit_tokens > 0 {
-                    let full = self.cache.prefill(group, req.model, 1, req.prompt_len);
-                    let suffix = self.cache.prefill(
-                        group,
-                        req.model,
-                        1,
-                        req.prompt_len.saturating_sub(hit_tokens).max(1),
-                    );
-                    (full - suffix).max(0.0)
-                } else {
+                // The prefill the hits skip: the full prompt's (the
+                // group's batch-1 estimate) minus the uncovered suffix's.
+                v.est_prefix_saved_s = if hit_tokens == 0 {
                     0.0
+                } else if let Some(&(.., saved)) = self
+                    .saved_est
+                    .iter()
+                    .find(|&&(g, hits, _)| g == group && hits == hit_tokens)
+                {
+                    saved
+                } else {
+                    let suffix = req.prompt_len.saturating_sub(hit_tokens).max(1);
+                    let suffix_s = self.cache.prefill(group, req.model, 1, suffix);
+                    let saved = (self.group_est[group].0 - suffix_s).max(0.0);
+                    self.saved_est.push((group, hit_tokens, saved));
+                    saved
                 };
-                v.session_resident = kv.session_resident(req);
+                v.session_resident = probe.session_resident;
                 v.kv_free_blocks = kv.free_blocks + kv.cached_blocks;
                 v.kv_total_blocks = kv.total_blocks;
             } else {
@@ -623,7 +634,7 @@ impl<'a> Engine<'a> {
                     && self.replicas[i]
                         .kv
                         .as_ref()
-                        .is_none_or(|kv| kv.blocks_for(req.total_tokens()) <= kv.total_blocks)
+                        .is_none_or(|kv| kv.final_blocks(req) <= kv.total_blocks)
             })
             .map(|i| (i, self.views[i].est_service_s))
     }
@@ -685,8 +696,8 @@ impl<'a> Engine<'a> {
                 };
                 let head = self.request(front.request);
                 let dispatch_blocks = kv.blocks_for(head.prompt_len + 1);
-                let final_blocks = kv.blocks_for(head.total_tokens().max(head.prompt_len + 1));
-                let hits = kv.probe_hits(&head);
+                let final_blocks = kv.final_blocks(&head);
+                let hits = kv.probe(&head).hit_blocks;
                 // Budget the hit blocks too, not just the private suffix:
                 // pinning converts up to `hits` blocks from cached (where
                 // `can_allocate` counts them evictable) to pinned (where
@@ -1184,7 +1195,8 @@ pub fn simulate_fleet_traced(
                 .min(requests.len().max(1)),
         ),
         cache,
-        group_est: vec![0.0; groups],
+        group_est: vec![(0.0, 0.0); groups],
+        saved_est: Vec::new(),
         resident: config
             .replicas
             .iter()

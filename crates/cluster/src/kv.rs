@@ -14,11 +14,14 @@
 //!
 //! The prefix pool is indexed by chain: one `BTreeMap` lookup per
 //! `(tag, ident)` chain (lint D001 keeps hash maps out), then a `Vec` of
-//! block slots read by position. Resident blocks live in a slab threaded
-//! by an intrusive doubly linked LRU list over the cached ones; a block
-//! joins the newest end exactly when its refcount drops to zero, so list
-//! order is age order. Everything here is deterministic, and all sizing is
-//! integer block arithmetic. The engine asserts block conservation
+//! block slots read by position. A request's shareable blocks form at most
+//! two runs of positions, one per chain ([`chain_runs`]), so every walk
+//! over them looks each chain up once and then reads a slice of its
+//! slots. Resident blocks live in a slab threaded by an intrusive doubly
+//! linked LRU list over the cached ones; a block joins the newest end
+//! exactly when its refcount drops to zero, so list order is age order.
+//! Everything here is deterministic, and all sizing is integer block
+//! arithmetic. The engine asserts block conservation
 //! (`free + pinned + cached + private == total`) after every event.
 
 use crate::engine::ClusterRequest;
@@ -120,8 +123,10 @@ pub(crate) type BlockKey = (u8, u64, u32);
 /// is anonymous (no prefix or session identity covers it). The serving
 /// model is folded into the chain id (high 16 bits): the same system
 /// prompt produces different KV tensors under different models, so chains
-/// must never alias across them.
-pub(crate) fn chain_key(req: &ClusterRequest, k: u64, block_tokens: u64) -> Option<BlockKey> {
+/// must never alias across them. The pool walks [`chain_runs`] instead;
+/// this block-by-block form defines them and drives the reference pool.
+#[cfg(test)]
+fn chain_key(req: &ClusterRequest, k: u64, block_tokens: u64) -> Option<BlockKey> {
     let end = (k + 1) * block_tokens;
     let pos = u32::try_from(k).ok()?;
     if req.prefix_id != 0 && end <= req.prefix_len {
@@ -140,6 +145,58 @@ fn chain_ident(model: usize, id: u64) -> u64 {
 
 /// Identity of a chain: the `(tag, ident)` its block keys share.
 type ChainId = (u8, u64);
+
+/// Consecutive context positions `start..end` of one request that all
+/// belong to chain `id` (empty when `start == end`).
+#[derive(Debug, Clone, Copy)]
+struct ChainRun {
+    id: ChainId,
+    start: u64,
+    end: u64,
+}
+
+impl ChainRun {
+    /// The part of this run inside positions `from..to`, as a slot-index
+    /// range (empty when they do not overlap).
+    fn clip(&self, from: u64, to: u64) -> std::ops::Range<usize> {
+        let start = self.start.max(from);
+        start as usize..self.end.min(to).max(start) as usize
+    }
+}
+
+/// The shareable positions of `req`'s context as two runs, in position
+/// order: the prefix chain over `0..prefix_len / bt`, then the session
+/// chain up to `(prompt_len + gen_len) / bt`; every later position is
+/// anonymous. Either run may be empty. Position `k` lies in a run exactly
+/// when `chain_key` names that run's chain for block `k` (a position past
+/// `u32::MAX` has no key, so both runs stop there); a proptest holds the
+/// two to that, and the reference-pool differential test holds the pool.
+fn chain_runs(req: &ClusterRequest, block_tokens: u64) -> [ChainRun; 2] {
+    const POSITIONS: u64 = u32::MAX as u64 + 1;
+    let bt = block_tokens.max(1);
+    let prefix_end = if req.prefix_id == 0 {
+        0
+    } else {
+        (req.prefix_len / bt).min(POSITIONS)
+    };
+    let session_end = if req.session == 0 {
+        prefix_end
+    } else {
+        ((req.prompt_len + req.gen_len) / bt).clamp(prefix_end, POSITIONS)
+    };
+    [
+        ChainRun {
+            id: (0, chain_ident(req.model, req.prefix_id)),
+            start: 0,
+            end: prefix_end,
+        },
+        ChainRun {
+            id: (1, chain_ident(req.model, req.session)),
+            start: prefix_end,
+            end: session_end,
+        },
+    ]
+}
 
 /// "No slot": an empty chain position, or the end of the LRU list.
 const NIL: u32 = u32::MAX;
@@ -166,6 +223,17 @@ struct Chain {
     slots: Vec<u32>,
     /// Resident blocks; the chain leaves the index when this reaches 0.
     resident: u32,
+}
+
+impl Chain {
+    /// How many positions of `range`, counted from its start, are resident
+    /// before the first one that is not.
+    fn leading_resident(&self, range: std::ops::Range<usize>) -> u64 {
+        let end = range.end.min(self.slots.len());
+        self.slots.get(range.start..end).map_or(0, |slots| {
+            slots.iter().take_while(|&&slot| slot != NIL).count() as u64
+        })
+    }
 }
 
 /// Resident shareable blocks in a slab, threaded by an intrusive doubly
@@ -274,28 +342,6 @@ impl BlockSlab {
     }
 }
 
-/// Slab slot of the resident block `key`, or `NIL`. `last` carries the
-/// previous chain lookup, so walking one request's blocks in position
-/// order looks each of its (at most two) chains up once.
-fn resident_slot<'a>(
-    chains: &'a BTreeMap<ChainId, Chain>,
-    last: &mut Option<(ChainId, Option<&'a Chain>)>,
-    key: BlockKey,
-) -> u32 {
-    let id = (key.0, key.1);
-    let chain = match *last {
-        Some((seen, chain)) if seen == id => chain,
-        _ => {
-            let chain = chains.get(&id);
-            *last = Some((id, chain));
-            chain
-        }
-    };
-    chain
-        .and_then(|c| c.slots.get(key.2 as usize).copied())
-        .unwrap_or(NIL)
-}
-
 /// Per-sequence block accounting, carried on the in-flight record.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KvSeq {
@@ -305,6 +351,16 @@ pub(crate) struct KvSeq {
     pub private_blocks: u64,
     /// Blocks the full context (prompt + generation) will occupy.
     pub final_blocks: u64,
+}
+
+/// What a replica's pool holds for one request, from [`KvState::probe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KvProbe {
+    /// Consecutive leading chain blocks of the request's *prompt* that are
+    /// resident: the prefix-cache hit length in blocks.
+    pub hit_blocks: u64,
+    /// Whether any block of the request's session chain is resident.
+    pub session_resident: bool,
 }
 
 /// A replica's paged KV pool: block counters, the refcounted prefix pool
@@ -394,36 +450,51 @@ impl KvState {
         self.peak_in_use as f64 / self.total_blocks as f64
     }
 
-    /// Consecutive leading chain blocks of `req`'s *prompt* that are
-    /// resident right now — the prefix-cache hit length in blocks. Only
-    /// whole blocks fully inside the prompt count (a generated token can
-    /// never hit).
-    pub(crate) fn probe_hits(&self, req: &ClusterRequest) -> u64 {
-        if !self.prefix_caching {
-            return 0;
-        }
-        let max_blocks = req.prompt_len / self.block_tokens.max(1); // full blocks only
-        let mut last = None;
-        let mut hits = 0;
-        while hits < max_blocks {
-            match chain_key(req, hits, self.block_tokens) {
-                Some(key) if resident_slot(&self.chains, &mut last, key) != NIL => hits += 1,
-                _ => break,
-            }
-        }
-        hits
+    /// Blocks `req` holds once its last token is generated. Dispatch
+    /// claims `blocks_for(prompt_len + 1)`, so that many even when nothing
+    /// is generated: routing and dispatch both size a request by this
+    /// count, and a request it does not fit is rejected at routing rather
+    /// than queued where it can never dispatch.
+    pub(crate) fn final_blocks(&self, req: &ClusterRequest) -> u64 {
+        self.blocks_for(req.total_tokens().max(req.prompt_len + 1))
     }
 
-    /// Whether any block of `req`'s session chain is resident — the
-    /// router's cheap "is this session's context here" signal. A chain
-    /// lookup, not a block-0 lookup: a session whose opening blocks are
-    /// covered by a shared system prefix starts its own chain later, and
-    /// a chain stays indexed exactly while it holds a resident block.
-    pub(crate) fn session_resident(&self, req: &ClusterRequest) -> bool {
-        req.session != 0
-            && self
-                .chains
-                .contains_key(&(1, chain_ident(req.model, req.session)))
+    /// The prefix-cache hit length of `req` and its session residency,
+    /// from at most two chain lookups. Hits are the consecutive leading
+    /// chain blocks of the *prompt* resident right now; only whole blocks
+    /// fully inside the prompt count (a generated token can never hit).
+    /// Residency asks whether the session's chain is indexed at all, not
+    /// whether its block 0 is: a session whose opening blocks a shared
+    /// system prefix covers starts its own chain later, and a chain stays
+    /// indexed exactly while it holds a resident block — the router's cheap
+    /// "is this session's context here" signal.
+    pub(crate) fn probe(&self, req: &ClusterRequest) -> KvProbe {
+        let [prefix, session] = chain_runs(req, self.block_tokens);
+        let session_chain = if req.session == 0 {
+            None
+        } else {
+            self.chains.get(&session.id)
+        };
+        let mut hit_blocks = 0;
+        if self.prefix_caching {
+            let prompt_blocks = req.prompt_len / self.block_tokens.max(1);
+            let range = prefix.clip(0, prompt_blocks);
+            if !range.is_empty() {
+                hit_blocks = self
+                    .chains
+                    .get(&prefix.id)
+                    .map_or(0, |chain| chain.leading_resident(range.clone()));
+            }
+            // The session run continues only a fully resident prefix run.
+            if hit_blocks == range.len() as u64 {
+                let range = session.clip(hit_blocks, prompt_blocks);
+                hit_blocks += session_chain.map_or(0, |chain| chain.leading_resident(range));
+            }
+        }
+        KvProbe {
+            hit_blocks,
+            session_resident: session_chain.is_some(),
+        }
     }
 
     /// Whether `needed` fresh blocks can be produced from free + evictable
@@ -437,19 +508,24 @@ impl KvState {
     /// exist.
     pub(crate) fn pin_hits(&mut self, req: &ClusterRequest, hits: u64, now_s: f64) {
         self.note(now_s);
-        let mut last = None;
-        for k in 0..hits {
-            let Some(key) = chain_key(req, k, self.block_tokens) else {
-                unreachable!("probed block has a chain key")
-            };
-            let slot = resident_slot(&self.chains, &mut last, key);
-            assert!(slot != NIL, "probed block is resident");
-            if self.slab.blocks[slot as usize].refs == 0 {
-                self.slab.unlink(slot);
-                self.cached_blocks -= 1;
-                self.pinned_blocks += 1;
+        for run in chain_runs(req, self.block_tokens) {
+            let range = run.clip(0, hits);
+            if range.is_empty() {
+                continue;
             }
-            self.slab.blocks[slot as usize].refs += 1;
+            let slots = self.chains.get(&run.id).and_then(|c| c.slots.get(range));
+            let Some(slots) = slots else {
+                unreachable!("probed blocks are resident")
+            };
+            for &slot in slots {
+                assert!(slot != NIL, "probed block is resident");
+                if self.slab.blocks[slot as usize].refs == 0 {
+                    self.slab.unlink(slot);
+                    self.cached_blocks -= 1;
+                    self.pinned_blocks += 1;
+                }
+                self.slab.blocks[slot as usize].refs += 1;
+            }
         }
         self.bump_peak();
     }
@@ -458,19 +534,24 @@ impl KvState {
     /// refcount hits zero become cached as the newest LRU entries.
     pub(crate) fn release_hits(&mut self, req: &ClusterRequest, hits: u64, now_s: f64) {
         self.note(now_s);
-        let mut last = None;
-        for k in 0..hits {
-            let Some(key) = chain_key(req, k, self.block_tokens) else {
-                unreachable!("pinned block has a chain key")
+        for run in chain_runs(req, self.block_tokens) {
+            let range = run.clip(0, hits);
+            if range.is_empty() {
+                continue;
+            }
+            let slots = self.chains.get(&run.id).and_then(|c| c.slots.get(range));
+            let Some(slots) = slots else {
+                unreachable!("pinned blocks are resident")
             };
-            let slot = resident_slot(&self.chains, &mut last, key);
-            assert!(slot != NIL, "pinned block is resident");
-            let block = &mut self.slab.blocks[slot as usize];
-            block.refs -= 1;
-            if block.refs == 0 {
-                self.slab.push_newest(slot);
-                self.pinned_blocks -= 1;
-                self.cached_blocks += 1;
+            for &slot in slots {
+                assert!(slot != NIL, "pinned block is resident");
+                let block = &mut self.slab.blocks[slot as usize];
+                block.refs -= 1;
+                if block.refs == 0 {
+                    self.slab.push_newest(slot);
+                    self.pinned_blocks -= 1;
+                    self.cached_blocks += 1;
+                }
             }
         }
     }
@@ -533,47 +614,39 @@ impl KvState {
     ) {
         self.note(now_s);
         let end = hit_blocks + private_blocks;
-        let mut k = hit_blocks;
-        while k < end {
-            let key = if self.prefix_caching {
-                chain_key(req, k, self.block_tokens)
-            } else {
-                None
-            };
-            // Anonymous position: nothing can share the block.
-            let Some((tag, ident, _)) = key else {
-                self.private_blocks -= 1;
-                self.free_blocks += 1;
-                k += 1;
-                continue;
-            };
-            // One chain lookup for the whole run of positions it covers.
-            let chain = self.chains.entry((tag, ident)).or_default();
-            while k < end {
-                let Some(key) = chain_key(req, k, self.block_tokens)
-                    .filter(|key| (key.0, key.1) == (tag, ident))
-                else {
-                    break;
-                };
-                self.private_blocks -= 1;
-                k += 1;
-                let pos = key.2 as usize;
-                if chain.slots.get(pos).is_some_and(|&slot| slot != NIL) {
-                    // Another sequence already cached this chain block:
-                    // our copy is redundant.
-                    self.free_blocks += 1;
+        let mut shared = 0;
+        if self.prefix_caching {
+            for run in chain_runs(req, self.block_tokens) {
+                let range = run.clip(hit_blocks, end);
+                if range.is_empty() {
                     continue;
                 }
-                if chain.slots.len() <= pos {
-                    chain.slots.resize(pos + 1, NIL);
+                shared += range.len() as u64;
+                let chain = self.chains.entry(run.id).or_default();
+                for pos in range {
+                    // Grow as each position is inserted, so capacity
+                    // follows `Vec`'s doubling; sizing to the run's end up
+                    // front raised the peak RSS of session replays.
+                    if chain.slots.len() <= pos {
+                        chain.slots.resize(pos + 1, NIL);
+                    }
+                    if chain.slots[pos] != NIL {
+                        // Another sequence already cached this chain
+                        // block: our copy is redundant.
+                        self.free_blocks += 1;
+                        continue;
+                    }
+                    let slot = self.slab.insert((run.id.0, run.id.1, pos as u32));
+                    self.slab.push_newest(slot);
+                    chain.slots[pos] = slot;
+                    chain.resident += 1;
+                    self.cached_blocks += 1;
                 }
-                let slot = self.slab.insert(key);
-                self.slab.push_newest(slot);
-                chain.slots[pos] = slot;
-                chain.resident += 1;
-                self.cached_blocks += 1;
             }
         }
+        // Anonymous positions: nothing can share the block.
+        self.private_blocks -= private_blocks;
+        self.free_blocks += private_blocks - shared;
     }
 
     /// Crash recovery: host memory is gone, so the whole pool resets.
@@ -880,9 +953,15 @@ mod tests {
         assert_eq!(chain_key(&r, 1, 16), Some((0, 7, 1)));
         assert_eq!(chain_key(&r, 2, 16), Some((1, 9, 2)));
         assert_eq!(chain_key(&r, 3, 16), None);
+        // The same positions as runs: prefix 0..2, then session 2..3.
+        let [prefix, session] = chain_runs(&r, 16);
+        assert_eq!((prefix.id, prefix.start, prefix.end), ((0, 7), 0, 2));
+        assert_eq!((session.id, session.start, session.end), ((1, 9), 2, 3));
         // No session either → anonymous past the prefix.
         let r = req(40, 8, 7, 32, 0);
         assert_eq!(chain_key(&r, 2, 16), None);
+        let [_, session] = chain_runs(&r, 16);
+        assert_eq!((session.start, session.end), (2, 2));
     }
 
     #[test]
@@ -897,7 +976,7 @@ mod tests {
         assert_eq!(kv.cached_blocks, 3);
         // Turn 2 of the same session: prompt = 48 prior tokens + 16 new.
         let turn2 = req(64, 8, 0, 0, 5);
-        assert_eq!(kv.probe_hits(&turn2), 3);
+        assert_eq!(kv.probe(&turn2).hit_blocks, 3);
         kv.pin_hits(&turn2, 3, 2.0);
         assert_eq!((kv.pinned_blocks, kv.cached_blocks), (3, 0));
         kv.release_hits(&turn2, 3, 3.0);
@@ -918,8 +997,8 @@ mod tests {
         assert!(kv.can_allocate(2));
         kv.allocate_private(2, 4.0);
         kv.assert_conserved();
-        assert_eq!(kv.probe_hits(&req(32, 0, 0, 0, 1)), 0); // block 0 evicted
-        assert!(kv.session_resident(&b)); // newer chain survives
+        assert_eq!(kv.probe(&req(32, 0, 0, 0, 1)).hit_blocks, 0); // block 0 evicted
+        assert!(kv.probe(&b).session_resident); // newer chain survives
     }
 
     #[test]
@@ -931,7 +1010,7 @@ mod tests {
         kv.assert_conserved();
         assert_eq!(kv.cached_blocks, 0);
         assert_eq!(kv.free_blocks, 8);
-        assert_eq!(kv.probe_hits(&r), 0);
+        assert_eq!(kv.probe(&r).hit_blocks, 0);
     }
 
     #[test]
@@ -944,7 +1023,7 @@ mod tests {
         kv.reset(3.0);
         kv.assert_conserved();
         assert_eq!(kv.free_blocks, 8);
-        assert!(!kv.session_resident(&r));
+        assert!(!kv.probe(&r).session_resident);
         assert!(kv.peak_in_use >= 3);
     }
 
@@ -981,10 +1060,11 @@ mod tests {
     /// prompt tokens, generated tokens)`. Ids are drawn from tiny ranges so
     /// shapes share prefix chains and sessions; a prefix plus a session
     /// gives a session chain whose first blocks the prefix covers, and a
-    /// context past both is an anonymous tail.
+    /// context past both is an anonymous tail. Zero generated tokens end
+    /// the session run on the prompt's last whole block.
     fn arb_shapes() -> impl Strategy<Value = Vec<(usize, u64, u64, u64, u64, u64)>> {
         prop::collection::vec(
-            (0usize..2, 0u64..3, 0u64..16, 0u64..4, 1u64..30, 1u64..20),
+            (0usize..2, 0u64..3, 0u64..16, 0u64..4, 1u64..30, 0u64..20),
             1..7,
         )
     }
@@ -1025,17 +1105,48 @@ mod tests {
         // Same cached keys in the same order: the list is in age order.
         assert_eq!(kv.lru_keys(), oracle.lru_keys());
         for r in shapes {
-            assert_eq!(kv.probe_hits(r), oracle.probe_hits(r), "{r:?}");
-            assert_eq!(kv.session_resident(r), oracle.session_resident(r), "{r:?}");
+            let expected = KvProbe {
+                hit_blocks: oracle.probe_hits(r),
+                session_resident: oracle.session_resident(r),
+            };
+            assert_eq!(kv.probe(r), expected, "{r:?}");
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// Each position lies in the run of the chain [`chain_key`] names
+        /// for it, and a position [`chain_key`] calls anonymous lies in no
+        /// run. Prefixes may outrun the prompt here.
+        #[test]
+        fn chain_runs_hold_exactly_the_keyed_positions(
+            shape in (0usize..2, 0u64..3, 0u64..40, 0u64..4, 0u64..40, 0u64..20),
+            block_tokens in 1u64..6,
+        ) {
+            let (model, prefix_id, prefix_len, session, prompt_len, gen_len) = shape;
+            let r = ClusterRequest {
+                model,
+                prompt_len,
+                gen_len,
+                prefix_id,
+                prefix_len,
+                session,
+                ..ClusterRequest::default()
+            };
+            let runs = chain_runs(&r, block_tokens);
+            for k in 0..=(prefix_len + prompt_len + gen_len) / block_tokens + 1 {
+                let run = runs.iter().find(|run| (run.start..run.end).contains(&k));
+                prop_assert_eq!(
+                    chain_key(&r, k, block_tokens),
+                    run.map(|run| (run.id.0, run.id.1, k as u32))
+                );
+            }
+        }
+
         #[test]
         fn pool_matches_the_reference_op_by_op(
-            pool in (1u64..9, 2u64..6, 0u8..4),
+            pool in (1u64..9, 1u64..6, 0u8..4),
             shapes in arb_shapes(),
             ops in arb_ops(),
         ) {
@@ -1060,7 +1171,7 @@ mod tests {
                     // Probe and pin a shape's resident prefix.
                     0 => {
                         let req = reqs[which % reqs.len()];
-                        let hits = kv.probe_hits(&req);
+                        let hits = kv.probe(&req).hit_blocks;
                         prop_assert_eq!(hits, oracle.probe_hits(&req));
                         kv.pin_hits(&req, hits, 0.0);
                         oracle.pin_hits(&req, hits);

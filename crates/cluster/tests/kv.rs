@@ -12,7 +12,7 @@
 use llmsim_cluster::{
     shard_fleet, simulate_fleet, simulate_fleet_legacy, simulate_fleet_traced, simulate_shards,
     ChaosConfig, ClusterConfig, ClusterRequest, FaultInjection, JoinShortestQueue, KvConfig,
-    PrefixAware, ReplicaConfig, RouterPolicy, SloTargets,
+    OutcomeState, PrefixAware, ReplicaConfig, RouterPolicy, SloTargets,
 };
 use llmsim_core::resilience::RetryPolicy;
 use llmsim_core::{CostModel, CpuBackend, VecSink};
@@ -222,6 +222,55 @@ fn tight_pools_preempt_and_still_terminate() {
         report.render()
     );
     assert!(report.wasted_tokens > 0, "preemption wastes partial decode");
+}
+
+/// A request that generates nothing still claims blocks for
+/// `prompt_len + 1` tokens at dispatch, one block more than its context
+/// when the prompt fills whole blocks. On a pool without that block,
+/// routing rejects it; queued, it could never dispatch, and everything
+/// behind it on the replica would wait forever. One block more and it
+/// completes.
+#[test]
+fn zero_generation_request_without_its_dispatch_blocks_is_rejected_at_routing() {
+    let reqs = [
+        ClusterRequest {
+            id: 0,
+            arrival_s: 0.0,
+            prompt_len: 16,
+            gen_len: 0,
+            ..ClusterRequest::default()
+        },
+        ClusterRequest {
+            id: 1,
+            arrival_s: 0.5,
+            prompt_len: 8,
+            gen_len: 4,
+            ..ClusterRequest::default()
+        },
+    ];
+    let backend: Arc<dyn CostModel + Send + Sync> = Arc::new(CpuBackend::paper_spr());
+    let fleet = |blocks| {
+        ClusterConfig::new(
+            vec![ReplicaConfig::warm(backend.clone())],
+            vec![families::opt_13b()],
+        )
+        .with_kv(KvConfig::new().with_capacity_blocks(blocks))
+    };
+    let states = |blocks| {
+        let report = simulate_fleet(&fleet(blocks), &mut JoinShortestQueue, &reqs);
+        let mut outcomes = report.outcomes.clone();
+        outcomes.sort_by_key(|o| o.id);
+        outcomes.iter().map(|o| o.state).collect::<Vec<_>>()
+    };
+    assert_eq!(
+        states(1),
+        [OutcomeState::Rejected, OutcomeState::Completed],
+        "one block holds the second request but not the first's dispatch"
+    );
+    assert_eq!(
+        states(2),
+        [OutcomeState::Completed, OutcomeState::Completed]
+    );
 }
 
 /// Traced KV runs emit well-formed span TSV whose new `prefix_hit_tokens`

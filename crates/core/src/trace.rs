@@ -15,7 +15,7 @@
 //! rounding, and those reconcile with the engine's reported per-request
 //! latencies. Tests in `llmsim-cluster` and `llmsim-bench` assert both.
 
-use llmsim_report::spanlog::{self, Cell, TabularLog};
+use llmsim_report::spanlog::{self, Cell, JsonKeys, TabularLog};
 
 /// Terminal state of a traced request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,17 +161,18 @@ impl SpanRecord {
         .to_vec()
     }
 
-    /// This span as one row of the tabular schema.
+    /// This span as one row of the tabular schema. Building it allocates
+    /// nothing: the outcome label is borrowed.
     #[must_use]
-    pub fn cells(&self) -> Vec<Cell> {
-        vec![
+    pub fn cells(&self) -> [Cell; 14] {
+        [
             Cell::Int(self.id as i64),
             Cell::Int(self.model as i64),
             match self.replica {
                 Some(r) => Cell::Int(r as i64),
                 None => Cell::Num(f64::NAN),
             },
-            Cell::Str(self.outcome.label().to_string()),
+            Cell::Str(self.outcome.label().into()),
             Cell::Num(self.arrival_s),
             Cell::Num(self.queue_delay_s),
             Cell::Num(self.dispatch_s),
@@ -192,7 +193,7 @@ impl SpanRecord {
 pub fn span_log(spans: &[SpanRecord]) -> TabularLog {
     let mut log = TabularLog::new(SpanRecord::columns());
     for s in spans {
-        log.row(s.cells());
+        log.row(s.cells().into());
     }
     log
 }
@@ -312,8 +313,10 @@ pub enum SpanFormat {
 /// holds kilobytes, not gigabytes. Rows appear in *emission order* (the
 /// engines' deterministic event order); the bytes are identical to
 /// rendering the same spans through [`span_log`] (proptested in
-/// `llmsim-cluster`), because both go through the same line renderers in
-/// `llmsim_report::spanlog`.
+/// `llmsim-cluster`), because both append through the same line
+/// renderers in `llmsim_report::spanlog`. A record is appended straight
+/// into the buffer, with the JSON keys escaped once per sink, so
+/// recording a span allocates nothing.
 ///
 /// I/O errors do not panic (this is library code): the first error is
 /// stored, subsequent records are dropped, and [`StreamSink::finish_into`]
@@ -325,6 +328,8 @@ pub struct StreamSink<W: std::io::Write> {
     writer: W,
     format: SpanFormat,
     columns: Vec<String>,
+    /// The JSONL object keys of `columns`, escaped once.
+    keys: JsonKeys,
     buf: String,
     /// Flush to the writer once the buffer holds this many bytes.
     flush_at_bytes: usize,
@@ -351,10 +356,12 @@ impl<W: std::io::Write> StreamSink<W> {
     /// A streaming sink over `writer` in `format` (64 KiB buffer).
     #[must_use]
     pub fn new(writer: W, format: SpanFormat) -> Self {
+        let columns = SpanRecord::columns();
         StreamSink {
             writer,
             format,
-            columns: SpanRecord::columns(),
+            keys: JsonKeys::new(&columns),
+            columns,
             buf: String::with_capacity(Self::DEFAULT_BUFFER_BYTES + 1024),
             flush_at_bytes: Self::DEFAULT_BUFFER_BYTES,
             header_pending: format == SpanFormat::Tsv,
@@ -434,12 +441,9 @@ impl<W: std::io::Write> SpanSink for StreamSink<W> {
         }
         let cells = span.cells();
         match self.format {
-            SpanFormat::Tsv => self.buf.push_str(&spanlog::tsv_line(&cells)),
-            SpanFormat::Jsonl => self
-                .buf
-                .push_str(&spanlog::jsonl_line(&self.columns, &cells)),
+            SpanFormat::Tsv => spanlog::push_tsv_line(&mut self.buf, &cells),
+            SpanFormat::Jsonl => spanlog::push_jsonl_line(&mut self.buf, &self.keys, &cells),
         }
-        self.buf.push('\n');
         if self.buf.len() >= self.flush_at_bytes {
             self.flush_buf();
         }
@@ -472,6 +476,74 @@ mod tests {
             prefix_hit_tokens: 0,
             preemptions: 0,
         }
+    }
+
+    /// A completed span whose floats need many digits (and a tiny and a
+    /// huge one, which `Display` writes without an exponent), a rejected
+    /// span and a failed one.
+    fn pinned_spans() -> [SpanRecord; 3] {
+        let completed = SpanRecord {
+            id: 42,
+            model: 1,
+            replica: Some(3),
+            outcome: SpanOutcome::Completed,
+            arrival_s: 0.1 + 0.2,
+            queue_delay_s: 2.5e-8,
+            dispatch_s: 0.1 + 0.2 + 2.5e-8,
+            prefill_end_s: 0.1 + 0.2 + 1.0 / 3.0,
+            decode_s: 123_456.789_012_345_6,
+            decode_steps: 255,
+            completion_s: 1e21 + 0.125,
+            batch_at_dispatch: 16,
+            prefix_hit_tokens: 4096,
+            preemptions: 2,
+        };
+        [
+            completed,
+            SpanRecord::rejected(7, 2, 1.25),
+            SpanRecord::failed(9, 0, 0.2, 0.2 + 3.5e-9),
+        ]
+    }
+
+    /// Records `spans` through a stream sink that flushes after every
+    /// record, and returns the text written.
+    fn streamed(format: SpanFormat, spans: &[SpanRecord]) -> String {
+        let mut sink = StreamSink::new(Vec::new(), format).with_buffer_bytes(1);
+        for s in spans {
+            sink.record(*s);
+        }
+        String::from_utf8(sink.finish_into().unwrap()).unwrap()
+    }
+
+    /// The exact TSV text of [`pinned_spans`], as the wire format stood
+    /// before the appending renderer. The buffered and streamed writers
+    /// share one renderer, so comparing them with each other cannot catch
+    /// a format change; this text can.
+    #[test]
+    fn tsv_wire_format_is_pinned() {
+        let expected = concat!(
+            "id\tmodel\treplica\toutcome\tarrival_s\tqueue_delay_s\tdispatch_s\tprefill_end_s\tdecode_s\tdecode_steps\tcompletion_s\tbatch_at_dispatch\tprefix_hit_tokens\tpreemptions\n",
+            "42\t1\t3\tcompleted\t0.30000000000000004\t0.000000025\t0.30000002500000006\t0.6333333333333333\t123456.7890123456\t255\t1000000000000000000000\t16\t4096\t2\n",
+            "7\t2\tNaN\trejected\t1.25\tNaN\tNaN\tNaN\tNaN\t0\tNaN\t0\t0\t0\n",
+            "9\t0\tNaN\tfailed\t0.2\tNaN\tNaN\tNaN\tNaN\t0\t0.20000000350000002\t0\t0\t0\n",
+        );
+        let spans = pinned_spans();
+        assert_eq!(span_log(&spans).to_tsv(), expected);
+        assert_eq!(streamed(SpanFormat::Tsv, &spans), expected);
+    }
+
+    /// The exact JSONL text of [`pinned_spans`] (see
+    /// [`tsv_wire_format_is_pinned`]).
+    #[test]
+    fn jsonl_wire_format_is_pinned() {
+        let expected = concat!(
+            "{\"id\":42,\"model\":1,\"replica\":3,\"outcome\":\"completed\",\"arrival_s\":0.30000000000000004,\"queue_delay_s\":0.000000025,\"dispatch_s\":0.30000002500000006,\"prefill_end_s\":0.6333333333333333,\"decode_s\":123456.7890123456,\"decode_steps\":255,\"completion_s\":1000000000000000000000,\"batch_at_dispatch\":16,\"prefix_hit_tokens\":4096,\"preemptions\":2}\n",
+            "{\"id\":7,\"model\":2,\"replica\":null,\"outcome\":\"rejected\",\"arrival_s\":1.25,\"queue_delay_s\":null,\"dispatch_s\":null,\"prefill_end_s\":null,\"decode_s\":null,\"decode_steps\":0,\"completion_s\":null,\"batch_at_dispatch\":0,\"prefix_hit_tokens\":0,\"preemptions\":0}\n",
+            "{\"id\":9,\"model\":0,\"replica\":null,\"outcome\":\"failed\",\"arrival_s\":0.2,\"queue_delay_s\":null,\"dispatch_s\":null,\"prefill_end_s\":null,\"decode_s\":null,\"decode_steps\":0,\"completion_s\":0.20000000350000002,\"batch_at_dispatch\":0,\"prefix_hit_tokens\":0,\"preemptions\":0}\n",
+        );
+        let spans = pinned_spans();
+        assert_eq!(span_log(&spans).to_jsonl(), expected);
+        assert_eq!(streamed(SpanFormat::Jsonl, &spans), expected);
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl OpGraph {
         };
         for op in &mut self.ops {
             let column_parallel = matches!(
-                op.name.as_str(),
+                op.name,
                 "attn.q_proj"
                     | "attn.k_proj"
                     | "attn.v_proj"
@@ -174,12 +174,8 @@ impl OpGraph {
                     | "ffn.up_proj"
                     | "final.lm_head"
             );
-            let row_parallel = matches!(
-                op.name.as_str(),
-                "attn.out_proj" | "ffn.fc2" | "ffn.down_proj"
-            );
-            let sharded_elementwise =
-                matches!(op.name.as_str(), "attn.rope" | "ffn.gelu" | "ffn.silu_mul");
+            let row_parallel = matches!(op.name, "attn.out_proj" | "ffn.fc2" | "ffn.down_proj");
+            let sharded_elementwise = matches!(op.name, "attn.rope" | "ffn.gelu" | "ffn.silu_mul");
             match &mut op.kind {
                 OpKind::Linear {
                     shape,
@@ -299,7 +295,7 @@ impl<'m> GraphBuilder<'m> {
         }
     }
 
-    fn push(&mut self, name: &str, kind: OpKind, repeat: u64) {
+    fn push(&mut self, name: &'static str, kind: OpKind, repeat: u64) {
         self.ops.push(Operator::new(name, kind, self.dtype, repeat));
     }
 

@@ -163,7 +163,7 @@ pub enum OpKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Operator {
     /// Stable name, e.g. `"ffn.up_proj"`.
-    pub name: String,
+    pub name: &'static str,
     /// What the operator computes.
     pub kind: OpKind,
     /// Element type of activations (and weights, unless overridden).
@@ -182,10 +182,10 @@ impl Operator {
     ///
     /// Panics if `repeat` is zero.
     #[must_use]
-    pub fn new(name: impl Into<String>, kind: OpKind, dtype: DType, repeat: u64) -> Self {
+    pub fn new(name: &'static str, kind: OpKind, dtype: DType, repeat: u64) -> Self {
         assert!(repeat > 0, "operator must execute at least once");
         Operator {
-            name: name.into(),
+            name,
             kind,
             dtype,
             weight_dtype: None,

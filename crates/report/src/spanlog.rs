@@ -7,14 +7,16 @@
 //! produce byte-identical files — the property the replay CI job diffs
 //! against.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// One value in a tabular log row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
     /// A string cell (TSV: written raw with tabs/newlines replaced by
-    /// spaces; JSONL: quoted and escaped).
-    Str(String),
+    /// spaces; JSONL: quoted and escaped). A `'static` label borrows, so
+    /// building the cell allocates nothing.
+    Str(Cow<'static, str>),
     /// An integer cell.
     Int(i64),
     /// A float cell. `NaN` marks "not applicable" (e.g. the dispatch time
@@ -24,74 +26,106 @@ pub enum Cell {
 }
 
 impl Cell {
-    /// Renders this cell as one TSV field (tabs/newlines in strings are
-    /// replaced by spaces; floats use shortest-roundtrip `Display`).
-    #[must_use]
-    pub fn to_tsv_field(&self) -> String {
+    /// Appends this cell as one TSV field (tabs/newlines in strings become
+    /// spaces; floats use shortest-roundtrip `Display`).
+    fn push_tsv(&self, out: &mut String) {
         match self {
-            Cell::Str(s) => s.replace(['\t', '\n', '\r'], " "),
-            Cell::Int(i) => i.to_string(),
-            Cell::Num(x) => x.to_string(),
+            Cell::Str(s) => out.extend(s.chars().map(|c| match c {
+                '\t' | '\n' | '\r' => ' ',
+                c => c,
+            })),
+            Cell::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Cell::Num(x) => {
+                let _ = write!(out, "{x}");
+            }
         }
     }
 
-    /// Renders this cell as one JSON value (`NaN`/infinities become
+    /// Appends this cell as one JSON value (`NaN`/infinities become
     /// `null`, strings are escaped).
-    #[must_use]
-    pub fn to_json_value(&self) -> String {
+    fn push_json(&self, out: &mut String) {
         match self {
-            Cell::Str(s) => json_escape(s),
-            Cell::Int(i) => i.to_string(),
-            Cell::Num(x) if x.is_finite() => x.to_string(),
-            Cell::Num(_) => "null".to_string(),
+            Cell::Str(s) => push_json_string(out, s),
+            Cell::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Cell::Num(x) if x.is_finite() => {
+                let _ = write!(out, "{x}");
+            }
+            Cell::Num(_) => out.push_str("null"),
         }
     }
 }
 
-/// Renders one TSV data line (no trailing newline) from a row of cells.
+/// Appends one TSV data line, `\n`-terminated, to `out`.
 ///
 /// [`TabularLog::to_tsv`] and the streaming span sink in `llmsim-core`
-/// both go through this function, which is what makes a streamed file
-/// byte-identical to a buffered render of the same rows.
-#[must_use]
-pub fn tsv_line(cells: &[Cell]) -> String {
-    let fields: Vec<String> = cells.iter().map(Cell::to_tsv_field).collect();
-    fields.join("\t")
+/// both append through this function, which is what makes a streamed
+/// file byte-identical to a buffered render of the same rows.
+pub fn push_tsv_line(out: &mut String, cells: &[Cell]) {
+    for (i, cell) in cells.iter().enumerate() {
+        if i > 0 {
+            out.push('\t');
+        }
+        cell.push_tsv(out);
+    }
+    out.push('\n');
 }
 
-/// Renders one JSONL object line (no trailing newline) from column names
-/// and a row of cells. Shared by [`TabularLog::to_jsonl`] and the
-/// streaming span sink for the same byte-identity reason as [`tsv_line`].
+/// Column names rendered once as JSON object keys (`"name":`), so a
+/// JSONL row copies each key instead of escaping it again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JsonKeys(Vec<String>);
+
+impl JsonKeys {
+    /// Escapes every column name of a schema.
+    #[must_use]
+    pub fn new(columns: &[String]) -> Self {
+        JsonKeys(
+            columns
+                .iter()
+                .map(|col| {
+                    let mut key = String::with_capacity(col.len() + 3);
+                    push_json_string(&mut key, col);
+                    key.push(':');
+                    key
+                })
+                .collect(),
+        )
+    }
+}
+
+/// Appends one JSONL object line, `\n`-terminated, to `out`: the row's
+/// cells under `keys`. Shared by [`TabularLog::to_jsonl`] and the
+/// streaming span sink for the same byte-identity reason as
+/// [`push_tsv_line`].
 ///
 /// # Panics
 ///
-/// Panics if `columns` and `cells` have different lengths.
-#[must_use]
-pub fn jsonl_line(columns: &[String], cells: &[Cell]) -> String {
+/// Panics if `keys` and `cells` have different lengths.
+pub fn push_jsonl_line(out: &mut String, keys: &JsonKeys, cells: &[Cell]) {
     assert_eq!(
-        columns.len(),
+        keys.0.len(),
         cells.len(),
         "row arity {} != column count {}",
         cells.len(),
-        columns.len()
+        keys.0.len()
     );
-    let mut out = String::new();
     out.push('{');
-    for (i, (col, cell)) in columns.iter().zip(cells).enumerate() {
+    for (i, (key, cell)) in keys.0.iter().zip(cells).enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&json_escape(col));
-        out.push(':');
-        out.push_str(&cell.to_json_value());
+        out.push_str(key);
+        cell.push_json(out);
     }
-    out.push('}');
-    out
+    out.push_str("}\n");
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` as a JSON string literal.
+fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -107,7 +141,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// A fixed-arity table of [`Cell`]s renderable as TSV or JSONL.
@@ -167,8 +200,7 @@ impl TabularLog {
         let mut out = self.columns.join("\t");
         out.push('\n');
         for row in &self.rows {
-            out.push_str(&tsv_line(row));
-            out.push('\n');
+            push_tsv_line(&mut out, row);
         }
         out
     }
@@ -176,10 +208,10 @@ impl TabularLog {
     /// Renders as JSON Lines: one object per row keyed by column name.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
+        let keys = JsonKeys::new(&self.columns);
         let mut out = String::new();
         for row in &self.rows {
-            out.push_str(&jsonl_line(&self.columns, row));
-            out.push('\n');
+            push_jsonl_line(&mut out, &keys, row);
         }
         out
     }
