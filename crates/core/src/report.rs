@@ -5,11 +5,6 @@ use llmsim_hw::Seconds;
 use llmsim_mem::HwCounters;
 use std::fmt;
 
-// The fleet-metric helpers live with the resilience layer; re-exported
-// here so report consumers get one import path for both single-run and
-// fleet statistics.
-pub use crate::resilience::percentile;
-
 /// Where each phase ran and what it cost (populated for offloaded GPU runs;
 /// the Fig. 18 breakdown).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

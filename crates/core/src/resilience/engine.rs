@@ -1,22 +1,24 @@
-//! The resilient serving engine: the iteration-level and chunked-prefill
-//! scheduler loops of [`crate::serving`], mirrored operation-for-operation
-//! and extended with fault injection, deadlines, admission control, retry,
+//! The continuous-batching engine: the one implementation of
+//! iteration-level (Orca-style) and chunked-prefill (Sarathi-style)
+//! scheduling, with fault injection, deadlines, admission control, retry,
 //! and preemption hooks.
 //!
-//! Exactness contract: under [`super::ResilienceConfig::passthrough`]
-//! every hook is inert, the engine performs the *same floating-point
-//! operations in the same order* as the plain simulator, and per-request
-//! latencies are bit-identical. The equivalence property tests in
-//! `crates/core/tests/resilience.rs` enforce this.
+//! [`crate::serving`] runs both policies here under
+//! [`super::ResilienceConfig::passthrough`], where every hook is inert: no
+//! draw perturbs a cost, no deadline or queue bound cancels a job, and no
+//! KV budget preempts one. [`simulate_resilient`] runs them with the hooks
+//! its caller configures.
 
 use super::metrics::ResilienceReport;
 use super::{
     DegradationPolicy, FailureKind, FaultModel, ResilienceConfig, ResilientOutcome, SimRng,
     TerminalState, TimeoutPhase,
 };
+use crate::backend::CostModel;
 use crate::cpu_backend::CpuBackend;
 use crate::pricing::StepTable;
-use crate::serving::{SchedulingPolicy, ServingRequest};
+use crate::serving::{check_inputs, SchedulingPolicy, ServingRequest};
+use crate::trace::{NullSink, SpanOutcome, SpanRecord, SpanSink};
 use llmsim_model::ModelConfig;
 use std::collections::VecDeque;
 
@@ -31,9 +33,22 @@ struct Job {
     /// Tokens produced by the current attempt (kept across preemptions —
     /// recompute rebuilds their KV without re-emitting — reset by retries).
     produced: u64,
-    first_token_s: Option<f64>,
+    /// The prefill that delivered the current attempt's first token (kept
+    /// across preemptions, cleared by retries).
+    first: Option<FirstToken>,
     retries: u32,
     preemptions: u32,
+}
+
+/// The prefill that delivered a job's first token.
+#[derive(Debug, Clone, Copy)]
+struct FirstToken {
+    /// When that prefill began.
+    dispatch_s: f64,
+    /// When it ended, emitting the token.
+    at_s: f64,
+    /// The batch width the job's span reports, the job included.
+    batch: u64,
 }
 
 impl Job {
@@ -44,7 +59,7 @@ impl Job {
             prompt_len: r.prompt_len,
             gen_len: r.gen_len,
             produced: 0,
-            first_token_s: None,
+            first: None,
             retries: 0,
             preemptions: 0,
         }
@@ -63,8 +78,8 @@ struct ActiveJob {
     job: Job,
     context: u64,
     remaining: u64,
-    /// When the job joined the current batch (the baseline's
-    /// joined-this-iteration guard; distinct from `first_token_s`, which a
+    /// When the job joined the current batch (chunked prefill's
+    /// joined-this-iteration guard; distinct from its first token, which a
     /// preempted job keeps from its first attempt).
     joined_s: f64,
     /// Monotone admission counter; the degradation policy evicts the
@@ -153,12 +168,14 @@ impl Injector {
 
 /// Everything the scheduler loops share: terminal bookkeeping, admission,
 /// expiry, retry scheduling, and the memory model.
-struct Engine<'a> {
-    backend: &'a CpuBackend,
+struct Engine<'a, B: CostModel + ?Sized> {
+    backend: &'a B,
     model: &'a ModelConfig,
     /// Decode-step prices of `backend` for `model`, each priced once.
     steps: StepTable,
     cfg: ResilienceConfig,
+    /// Receives the span of every completed job.
+    sink: &'a mut dyn SpanSink,
     injector: Injector,
     pending: Vec<Pending>,
     queue: VecDeque<Job>,
@@ -173,12 +190,14 @@ struct Engine<'a> {
     kv_bytes_per_token: u64,
 }
 
-impl<'a> Engine<'a> {
+impl<'a, B: CostModel + ?Sized> Engine<'a, B> {
     fn new(
-        backend: &'a CpuBackend,
+        backend: &'a B,
         model: &'a ModelConfig,
+        kv_bytes_per_token: u64,
         cfg: ResilienceConfig,
         requests: &[ServingRequest],
+        sink: &'a mut dyn SpanSink,
     ) -> Self {
         let mut pending = Vec::with_capacity(requests.len());
         // Arrival order with ascending seq; stored descending so the
@@ -190,12 +209,12 @@ impl<'a> Engine<'a> {
                 job: Job::new(r),
             });
         }
-        let kv_bytes_per_token = model.kv_bytes_per_token(backend.kv_dtype());
         Engine {
             backend,
             model,
             steps: StepTable::new(),
             cfg,
+            sink,
             injector: Injector::new(cfg.faults),
             pending,
             queue: VecDeque::new(),
@@ -225,15 +244,70 @@ impl<'a> Engine<'a> {
         self.outcomes.push(ResilientOutcome {
             id: job.id,
             state,
-            queue_delay_s: match job.first_token_s {
-                Some(t) => (t - job.arrival_s).max(0.0),
-                None => e2e_s,
-            },
-            ttft_s: job.first_token_s.map(|t| t - job.arrival_s),
+            queue_delay_s: job.first.map_or(e2e_s, |f| f.dispatch_s - job.arrival_s),
+            ttft_s: job.first.map(|f| f.at_s - job.arrival_s),
             e2e_s,
             retries: job.retries,
             preemptions: job.preemptions,
         });
+    }
+
+    /// Records a job that delivered its last token at `now`, and its span.
+    fn complete(&mut self, job: &Job, now: f64) {
+        let state = if job.preemptions > 0 {
+            TerminalState::PreemptedThenCompleted
+        } else {
+            TerminalState::Completed
+        };
+        self.finish(job, state, now);
+        if let Some(first) = job.first.filter(|_| self.sink.enabled()) {
+            self.sink.record(SpanRecord {
+                id: job.id,
+                model: 0,
+                replica: None,
+                outcome: SpanOutcome::Completed,
+                arrival_s: job.arrival_s,
+                queue_delay_s: first.dispatch_s - job.arrival_s,
+                dispatch_s: first.dispatch_s,
+                prefill_end_s: first.at_s,
+                // Completion minus first token, so the phases sum to e2e.
+                decode_s: now - first.at_s,
+                decode_steps: job.gen_len - 1,
+                completion_s: now,
+                batch_at_dispatch: first.batch,
+                prefix_hit_tokens: 0,
+                preemptions: u64::from(job.preemptions),
+            });
+        }
+    }
+
+    /// Ends `job`'s (re)prefill at `first.at_s`: a fresh attempt emits its
+    /// first token, a preempted job only rebuilt its KV. The job then joins
+    /// `active`, unless the join SLO gate cancels it or it has nothing left
+    /// to generate, in which case it retires here.
+    fn join(&mut self, mut job: Job, first: FirstToken, active: &mut Vec<ActiveJob>) {
+        let now = first.at_s;
+        if job.produced == 0 {
+            self.generated += 1;
+            job.produced = 1;
+            job.first = Some(first);
+        }
+        let a = ActiveJob {
+            context: job.prefill_len(),
+            remaining: job.gen_len - job.produced,
+            joined_s: now,
+            join_seq: self.join_seq,
+            job,
+        };
+        self.join_seq += 1;
+        if !self.passes_join_slo(&a.job, now) {
+            return;
+        }
+        if a.remaining == 0 {
+            self.complete(&a.job, now);
+        } else {
+            active.push(a);
+        }
     }
 
     /// The instant a still-queued job becomes hopeless: its earliest
@@ -249,7 +323,7 @@ impl<'a> Engine<'a> {
         };
         // A preempted job already delivered its first token, so only the
         // end-to-end budget still binds while it waits again.
-        if job.first_token_s.is_some() {
+        if job.first.is_some() {
             return slo.e2e_deadline_s.map(|b| job.arrival_s + b);
         }
         Some(job.arrival_s + dl)
@@ -314,7 +388,7 @@ impl<'a> Engine<'a> {
         // The retry is a fresh attempt: progress and first-token credit are
         // gone (the client re-issues the stream).
         job.produced = 0;
-        job.first_token_s = None;
+        job.first = None;
         let backoff = self
             .cfg
             .retry
@@ -398,16 +472,16 @@ impl<'a> Engine<'a> {
 
     /// Post-prefill SLO gate for a job that just (re)joined the batch.
     /// Returns `false` if the job was cancelled.
-    fn passes_join_slo(&mut self, a: &ActiveJob, now: f64) -> bool {
-        if let (Some(dl), Some(t)) = (self.cfg.slo.ttft_deadline_s, a.job.first_token_s) {
-            if t - a.job.arrival_s > dl {
-                self.finish(&a.job, TerminalState::TimedOut(TimeoutPhase::Prefill), now);
+    fn passes_join_slo(&mut self, job: &Job, now: f64) -> bool {
+        if let (Some(dl), Some(f)) = (self.cfg.slo.ttft_deadline_s, job.first) {
+            if f.at_s - job.arrival_s > dl {
+                self.finish(job, TerminalState::TimedOut(TimeoutPhase::Prefill), now);
                 return false;
             }
         }
         if let Some(dl) = self.cfg.slo.e2e_deadline_s {
-            if now - a.job.arrival_s > dl {
-                self.finish(&a.job, TerminalState::TimedOut(TimeoutPhase::Prefill), now);
+            if now - job.arrival_s > dl {
+                self.finish(job, TerminalState::TimedOut(TimeoutPhase::Prefill), now);
                 return false;
             }
         }
@@ -450,8 +524,8 @@ impl<'a> Engine<'a> {
 /// Simulates serving `requests` (sorted by arrival) on `backend` under the
 /// full resilience configuration.
 ///
-/// With [`ResilienceConfig::passthrough`] the per-request latencies are
-/// identical to [`crate::serving::simulate`] for the same policy.
+/// With [`ResilienceConfig::passthrough`] this is the run behind
+/// [`crate::serving::simulate`] for the same policy.
 ///
 /// # Errors
 ///
@@ -470,40 +544,52 @@ pub fn simulate_resilient(
     cfg: &ResilienceConfig,
     requests: &[ServingRequest],
 ) -> Result<ResilienceReport, crate::SimError> {
-    assert!(!requests.is_empty(), "need at least one request");
-    assert!(cfg.serving.max_batch > 0, "max batch must be positive");
-    assert!(
-        requests
-            .windows(2)
-            .all(|w| w[0].arrival_s <= w[1].arrival_s),
-        "requests must be sorted by arrival"
-    );
-    assert!(
-        requests.iter().all(|r| r.prompt_len > 0 && r.gen_len > 0),
-        "request lengths must be positive"
-    );
+    check_inputs(&cfg.serving, requests);
     cfg.faults.validate();
-    match cfg.serving.policy {
-        SchedulingPolicy::Static => Err(crate::SimError::UnsupportedConfig(
+    if cfg.serving.policy == SchedulingPolicy::Static {
+        return Err(crate::SimError::UnsupportedConfig(
             "resilient serving needs iteration-level scheduling (static batches have no \
              iteration boundaries to inject faults or preempt at)"
                 .to_owned(),
-        )),
-        SchedulingPolicy::IterationLevel => Ok(run_iteration_level(Engine::new(
-            backend, model, *cfg, requests,
-        ))),
-        SchedulingPolicy::ChunkedPrefill { chunk_tokens } => {
-            assert!(chunk_tokens > 0, "chunk size must be positive");
-            Ok(run_chunked(
-                Engine::new(backend, model, *cfg, requests),
-                chunk_tokens,
-            ))
-        }
+        ));
+    }
+    let kv_bytes_per_token = model.kv_bytes_per_token(backend.kv_dtype());
+    Ok(run_continuous(
+        backend,
+        model,
+        kv_bytes_per_token,
+        cfg,
+        requests,
+        &mut NullSink,
+    ))
+}
+
+/// Runs already-checked `requests` through the continuous-batching loop
+/// `cfg.serving.policy` names, recording each completed job's span to
+/// `sink`. `kv_bytes_per_token` sizes contexts against the fault model's
+/// KV budget and is read only when one is set.
+pub(crate) fn run_continuous<B: CostModel + ?Sized>(
+    backend: &B,
+    model: &ModelConfig,
+    kv_bytes_per_token: u64,
+    cfg: &ResilienceConfig,
+    requests: &[ServingRequest],
+    sink: &mut dyn SpanSink,
+) -> ResilienceReport {
+    let eng = Engine::new(backend, model, kv_bytes_per_token, *cfg, requests, sink);
+    match cfg.serving.policy {
+        SchedulingPolicy::ChunkedPrefill { chunk_tokens } => run_chunked(eng, chunk_tokens),
+        // Static batching never gets here: `serving` runs it itself and
+        // `simulate_resilient` rejects it.
+        SchedulingPolicy::IterationLevel | SchedulingPolicy::Static => run_iteration_level(eng),
     }
 }
 
-/// The resilient mirror of `serving::simulate_iteration`.
-fn run_iteration_level(mut eng: Engine<'_>) -> ResilienceReport {
+/// Iteration-level scheduling: arrived jobs join the running batch
+/// through one full prefill pass, which stalls every running decode for
+/// its whole duration (the problem chunked prefill solves); then the
+/// batch takes one decode step.
+fn run_iteration_level<B: CostModel + ?Sized>(mut eng: Engine<'_, B>) -> ResilienceReport {
     let max_batch = eng.cfg.serving.max_batch as usize;
     let mut active: Vec<ActiveJob> = Vec::new();
     let mut now = 0.0f64;
@@ -513,9 +599,8 @@ fn run_iteration_level(mut eng: Engine<'_>) -> ResilienceReport {
         eng.drain_arrivals(now);
         eng.expire_queued(now);
 
-        // Admission, mirroring the baseline: queued (arrived) jobs fill the
-        // batch; when the server is completely idle, exactly one future
-        // arrival is pulled forward.
+        // Admission: queued (arrived) jobs fill the batch; when the server
+        // is completely idle, exactly one future arrival is pulled forward.
         let mut admitted: Vec<Job> = Vec::new();
         let mut admitted_tokens = 0u64;
         while active.len() + admitted.len() < max_batch {
@@ -555,25 +640,13 @@ fn run_iteration_level(mut eng: Engine<'_>) -> ResilienceReport {
             }
             now = start + cost;
             if fault == FaultDraw::None {
-                for mut job in admitted {
-                    if job.produced == 0 {
-                        // Prefill emits the first token (baseline semantics);
-                        // a preempted job only recomputes and emits nothing.
-                        eng.generated += 1;
-                        job.produced = 1;
-                        job.first_token_s = Some(now);
-                    }
-                    let a = ActiveJob {
-                        context: job.prefill_len(),
-                        remaining: job.gen_len - job.produced,
-                        joined_s: now,
-                        join_seq: eng.join_seq,
-                        job,
-                    };
-                    eng.join_seq += 1;
-                    if eng.passes_join_slo(&a, now) {
-                        active.push(a);
-                    }
+                let first = FirstToken {
+                    dispatch_s: start,
+                    at_s: now,
+                    batch: (active.len() + admitted.len()) as u64,
+                };
+                for job in admitted {
+                    eng.join(job, first, &mut active);
                 }
             } else {
                 // A fault during the prefill pass loses the whole pass
@@ -633,22 +706,21 @@ fn run_iteration_level(mut eng: Engine<'_>) -> ResilienceReport {
     eng.into_report(SchedulingPolicy::IterationLevel, now, max_stall)
 }
 
-/// One job's decode-step bookkeeping: token progress, completion, and the
-/// end-to-end deadline gate. Returns `true` if the job keeps running.
-fn advance_decode(eng: &mut Engine<'_>, a: &mut ActiveJob, now: f64) -> bool {
-    if a.remaining > 0 {
-        a.remaining -= 1;
-        a.context += 1;
-        a.job.produced += 1;
-        eng.generated += 1;
-    }
+/// One job's decode step: token progress, completion, and the end-to-end
+/// deadline gate. A running job always has a token left to generate
+/// ([`Engine::join`] retires the rest). Returns `true` if the job keeps
+/// running.
+fn advance_decode<B: CostModel + ?Sized>(
+    eng: &mut Engine<'_, B>,
+    a: &mut ActiveJob,
+    now: f64,
+) -> bool {
+    a.remaining -= 1;
+    a.context += 1;
+    a.job.produced += 1;
+    eng.generated += 1;
     if a.remaining == 0 {
-        let state = if a.job.preemptions > 0 {
-            TerminalState::PreemptedThenCompleted
-        } else {
-            TerminalState::Completed
-        };
-        eng.finish(&a.job, state, now);
+        eng.complete(&a.job, now);
         return false;
     }
     eng.passes_decode_slo(a, now)
@@ -659,10 +731,17 @@ fn advance_decode(eng: &mut Engine<'_>, a: &mut ActiveJob, now: f64) -> bool {
 struct Prefilling {
     job: Job,
     remaining_prompt: u64,
+    /// When the first chunk began.
+    dispatch_s: f64,
 }
 
-/// The resilient mirror of `serving::simulate_chunked`.
-fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
+/// Chunked prefill: one job at a time is prefilled `chunk_tokens` per
+/// iteration, each chunk fused with one decode step of the running batch,
+/// which bounds the decode stall a long prompt causes.
+fn run_chunked<B: CostModel + ?Sized>(
+    mut eng: Engine<'_, B>,
+    chunk_tokens: u64,
+) -> ResilienceReport {
     let max_batch = eng.cfg.serving.max_batch as usize;
     let mut active: Vec<ActiveJob> = Vec::new();
     let mut prefilling: Option<Prefilling> = None;
@@ -677,30 +756,25 @@ fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
         eng.drain_arrivals(now);
         eng.expire_queued(now);
 
-        // Admit one request into the prefilling slot when there is room,
-        // pulling a future arrival forward only when decode is idle
-        // (baseline semantics).
+        // Admit one job into the prefilling slot when there is room,
+        // pulling a future arrival forward only when decode is idle. The
+        // KV-aware gate is the iteration-level loop's: a busy server keeps
+        // an oversized head-of-queue waiting.
         if prefilling.is_none() && active.len() < max_batch {
-            if let Some(job) = eng.queue.front() {
-                // Same KV-aware gate as the iteration-level loop: a busy
-                // server keeps an oversized head-of-queue waiting.
-                if active.is_empty() || eng.admission_fits(&active, 0, job) {
-                    if let Some(job) = eng.queue.pop_front() {
-                        now = now.max(job.arrival_s);
-                        prefilling = Some(Prefilling {
-                            remaining_prompt: job.prefill_len(),
-                            job,
-                        });
-                    }
+            let next = match eng.queue.front() {
+                Some(job) if active.is_empty() || eng.admission_fits(&active, 0, job) => {
+                    eng.queue.pop_front()
                 }
-            } else if active.is_empty() {
-                if let Some(p) = eng.pending.pop() {
-                    now = now.max(p.job.arrival_s);
-                    prefilling = Some(Prefilling {
-                        remaining_prompt: p.job.prefill_len(),
-                        job: p.job,
-                    });
-                }
+                None if active.is_empty() => eng.pending.pop().map(|p| p.job),
+                _ => None,
+            };
+            if let Some(job) = next {
+                now = now.max(job.arrival_s);
+                prefilling = Some(Prefilling {
+                    remaining_prompt: job.prefill_len(),
+                    dispatch_s: now,
+                    job,
+                });
             }
         }
         if prefilling.is_none() && active.is_empty() {
@@ -716,8 +790,9 @@ fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
             continue;
         }
 
-        // One fused iteration: a prompt chunk (if any) plus one decode
-        // step, with the baseline's piggyback surcharge.
+        // One fused iteration: a prompt chunk (if any) plus one decode step
+        // for the running batch. Decode tokens piggyback on the chunk's
+        // GEMMs, paying a modest interference surcharge.
         let decode_b = active.len() as u64;
         let (raw, chunk) = match (&prefilling, decode_b) {
             (Some(p), b) => {
@@ -776,27 +851,14 @@ fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
             if let Some(p) = prefilling.as_mut() {
                 p.remaining_prompt -= chunk;
             }
-            if let Some(p) = prefilling {
-                if p.remaining_prompt == 0 {
-                    let mut job = p.job;
-                    if job.produced == 0 {
-                        eng.generated += 1;
-                        job.produced = 1;
-                        job.first_token_s = Some(now);
-                    }
-                    let a = ActiveJob {
-                        context: job.prefill_len(),
-                        remaining: job.gen_len - job.produced,
-                        joined_s: now,
-                        join_seq: eng.join_seq,
-                        job,
-                    };
-                    eng.join_seq += 1;
-                    if eng.passes_join_slo(&a, now) {
-                        active.push(a);
-                    }
-                    prefilling = None;
-                }
+            if let Some(p) = prefilling.filter(|p| p.remaining_prompt == 0) {
+                let first = FirstToken {
+                    dispatch_s: p.dispatch_s,
+                    at_s: now,
+                    batch: active.len() as u64 + 1,
+                };
+                eng.join(p.job, first, &mut active);
+                prefilling = None;
             }
         }
 

@@ -3,17 +3,7 @@
 
 use super::{ResilientOutcome, TerminalState};
 use crate::serving::SchedulingPolicy;
-
-/// Linear-interpolation percentile over an unsorted sample.
-///
-/// `p` is in percent (`50.0` = median). Returns `NaN` for an empty sample,
-/// matching the "no data" semantics of the latency columns. Delegates to
-/// [`llmsim_report::percentile`] — the workspace's single percentile
-/// implementation — so fleet metrics and figure series agree exactly.
-#[must_use]
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    llmsim_report::percentile(values, p)
-}
+use llmsim_report::percentile;
 
 /// Everything a resilient serving run produced, with the fleet metrics the
 /// resilience experiments report.
@@ -152,20 +142,5 @@ impl ResilienceReport {
             .map(|o| o.e2e_s)
             .collect();
         percentile(&v, p)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = [4.0, 1.0, 3.0, 2.0];
-        assert!((percentile(&v, 0.0) - 1.0).abs() < 1e-12);
-        assert!((percentile(&v, 100.0) - 4.0).abs() < 1e-12);
-        assert!((percentile(&v, 50.0) - 2.5).abs() < 1e-12);
-        assert!(percentile(&[], 50.0).is_nan());
-        assert!((percentile(&[7.0], 99.0) - 7.0).abs() < 1e-12);
     }
 }

@@ -27,16 +27,18 @@
 //!   pressure, preempt-and-requeue the lowest-priority sequence
 //!   (recompute semantics, vLLM-style) instead of failing the batch.
 //!
-//! Every admitted request reaches exactly one [`TerminalState`], and with
-//! all features disabled ([`ResilienceConfig::passthrough`]) the engine
-//! reproduces [`crate::serving::simulate`] byte-for-byte — tested by the
-//! conservation and equivalence property tests.
+//! Every admitted request reaches exactly one [`TerminalState`] (the
+//! conservation property tests check this). With every feature disabled
+//! ([`ResilienceConfig::passthrough`]) the engine is how
+//! [`crate::serving::simulate`] runs its iteration-level and
+//! chunked-prefill policies.
 
 mod engine;
 mod metrics;
 
+pub(crate) use engine::run_continuous;
 pub use engine::simulate_resilient;
-pub use metrics::{percentile, ResilienceReport};
+pub use metrics::ResilienceReport;
 
 #[cfg(test)]
 mod rng_tests {
@@ -379,8 +381,9 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// A configuration with every resilience feature disabled: the engine
-    /// must reproduce [`crate::serving::simulate`] exactly under it.
+    /// A configuration with every resilience feature disabled: the one
+    /// [`crate::serving::simulate`] runs its iteration-level and
+    /// chunked-prefill policies under.
     #[must_use]
     pub fn passthrough(serving: ServingConfig, seed: u64) -> Self {
         ResilienceConfig {
@@ -484,8 +487,9 @@ pub struct ResilientOutcome {
     pub id: u64,
     /// How the request ended.
     pub state: TerminalState,
-    /// Wait from arrival to first token of the *successful* attempt
-    /// (mirrors the plain simulator's definition), clamped at 0.
+    /// Wait from arrival until the prefill that delivered the first token
+    /// began (the definition [`crate::serving::RequestOutcome`] uses); for
+    /// a request that never got a first token, arrival → terminal event.
     pub queue_delay_s: f64,
     /// Arrival → first token, if any token was ever delivered.
     pub ttft_s: Option<f64>,

@@ -3,15 +3,19 @@
 //! The paper's related work contrasts *static* batching (FasterTransformer:
 //! a batch runs to completion before the next is admitted) with
 //! *iteration-level* scheduling (Orca/vLLM: requests join and leave the
-//! running batch at token-step granularity). This module simulates both
-//! policies on top of the CPU backend's phase-cost primitives and reports
-//! per-request latency plus system throughput.
+//! running batch at token-step granularity), which Sarathi-style chunked
+//! prefill refines. This module simulates all three policies on top of a
+//! backend's phase-cost primitives and reports per-request latency plus
+//! system throughput. The static loop lives here; iteration-level and
+//! chunked prefill run on the resilient engine
+//! ([`crate::resilience::simulate_resilient`]'s loops) with every fault,
+//! deadline and admission hook off.
 
 use crate::backend::CostModel;
 use crate::pricing::StepTable;
+use crate::resilience::{run_continuous, ResilienceConfig, ResilienceReport};
 use crate::trace::{NullSink, SpanOutcome, SpanRecord, SpanSink};
 use llmsim_model::ModelConfig;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// One request arriving at a serving system.
@@ -71,7 +75,8 @@ pub struct ServingConfig {
 pub struct RequestOutcome {
     /// Request id.
     pub id: u64,
-    /// Queue wait before the prefill started, seconds.
+    /// Wait from arrival until the prefill that delivered the first token
+    /// began, seconds.
     pub queue_delay_s: f64,
     /// Time from arrival to first token, seconds.
     pub ttft_s: f64,
@@ -125,7 +130,7 @@ impl ServingReport {
 /// # Panics
 ///
 /// Panics if `requests` is empty, unsorted, has zero-length fields, or
-/// `config.max_batch` is zero.
+/// `config` has a zero `max_batch` or chunk size.
 #[must_use]
 pub fn simulate<B: CostModel + ?Sized>(
     backend: &B,
@@ -152,6 +157,29 @@ pub fn simulate_traced<B: CostModel + ?Sized>(
     requests: &[ServingRequest],
     sink: &mut dyn SpanSink,
 ) -> ServingReport {
+    check_inputs(config, requests);
+    sink.hint_len(requests.len());
+    let report = match config.policy {
+        SchedulingPolicy::Static => simulate_static(backend, model, config, requests, sink),
+        SchedulingPolicy::IterationLevel | SchedulingPolicy::ChunkedPrefill { .. } => {
+            // Passthrough sets no KV budget, so the engine never reads the
+            // per-token KV size.
+            let cfg = ResilienceConfig::passthrough(*config, 0);
+            serving_report(run_continuous(backend, model, 0, &cfg, requests, sink))
+        }
+    };
+    sink.finish();
+    report
+}
+
+/// The input checks [`simulate`] and
+/// [`crate::resilience::simulate_resilient`] share.
+///
+/// # Panics
+///
+/// Panics if `requests` is empty, unsorted, or has zero-length fields,
+/// or if `config` has a zero batch cap or chunk size.
+pub(crate) fn check_inputs(config: &ServingConfig, requests: &[ServingRequest]) {
     assert!(!requests.is_empty(), "need at least one request");
     assert!(config.max_batch > 0, "max batch must be positive");
     assert!(
@@ -164,19 +192,30 @@ pub fn simulate_traced<B: CostModel + ?Sized>(
         requests.iter().all(|r| r.prompt_len > 0 && r.gen_len > 0),
         "request lengths must be positive"
     );
-    sink.hint_len(requests.len());
-    let report = match config.policy {
-        SchedulingPolicy::Static => simulate_static(backend, model, config, requests, sink),
-        SchedulingPolicy::IterationLevel => {
-            simulate_iteration(backend, model, config, requests, sink)
-        }
-        SchedulingPolicy::ChunkedPrefill { chunk_tokens } => {
-            assert!(chunk_tokens > 0, "chunk size must be positive");
-            simulate_chunked(backend, model, config, requests, chunk_tokens, sink)
-        }
-    };
-    sink.finish();
-    report
+    if let SchedulingPolicy::ChunkedPrefill { chunk_tokens } = config.policy {
+        assert!(chunk_tokens > 0, "chunk size must be positive");
+    }
+}
+
+/// The serving view of a passthrough engine run, in which every request
+/// completes and so has a first token.
+fn serving_report(rep: ResilienceReport) -> ServingReport {
+    ServingReport {
+        policy: rep.policy,
+        outcomes: rep
+            .outcomes
+            .iter()
+            .map(|o| RequestOutcome {
+                id: o.id,
+                queue_delay_s: o.queue_delay_s,
+                ttft_s: o.ttft_s.unwrap_or(f64::NAN),
+                e2e_s: o.e2e_s,
+            })
+            .collect(),
+        makespan_s: rep.makespan_s,
+        generated_tokens: rep.generated_tokens,
+        max_decode_stall_s: rep.max_decode_stall_s,
+    }
 }
 
 fn simulate_static<B: CostModel + ?Sized>(
@@ -260,303 +299,6 @@ fn simulate_static<B: CostModel + ?Sized>(
         policy: SchedulingPolicy::Static,
         outcomes,
         makespan_s: makespan,
-        generated_tokens: generated,
-        max_decode_stall_s: max_stall,
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Active {
-    id: u64,
-    arrival_s: f64,
-    context: u64,
-    remaining: u64,
-    first_token_s: f64,
-    /// When this request's prefill began (span bookkeeping only).
-    dispatch_s: f64,
-    /// Batch width the moment the prefill began (span bookkeeping only).
-    batch_at_dispatch: u64,
-    /// Decode steps taken so far (span bookkeeping only).
-    decode_steps: u64,
-}
-
-/// Span of a completed [`Active`] request. `decode_s` is defined as
-/// completion minus first token so the three phases always sum to the
-/// reported e2e latency, even when a request rides along in iterations it
-/// generates nothing in.
-fn span_of(a: &Active, completion_s: f64) -> SpanRecord {
-    SpanRecord {
-        id: a.id,
-        model: 0,
-        replica: None,
-        outcome: SpanOutcome::Completed,
-        arrival_s: a.arrival_s,
-        queue_delay_s: a.dispatch_s - a.arrival_s,
-        dispatch_s: a.dispatch_s,
-        prefill_end_s: a.first_token_s,
-        decode_s: completion_s - a.first_token_s,
-        decode_steps: a.decode_steps,
-        completion_s,
-        batch_at_dispatch: a.batch_at_dispatch,
-        prefix_hit_tokens: 0,
-        preemptions: 0,
-    }
-}
-
-fn simulate_iteration<B: CostModel + ?Sized>(
-    backend: &B,
-    model: &ModelConfig,
-    config: &ServingConfig,
-    requests: &[ServingRequest],
-    sink: &mut dyn SpanSink,
-) -> ServingReport {
-    let mut steps = StepTable::new();
-    let mut waiting: VecDeque<ServingRequest> = requests.iter().copied().collect();
-    let mut active: Vec<Active> = Vec::new();
-    let mut outcomes = Vec::with_capacity(requests.len());
-    let mut generated = 0u64;
-    let mut now = 0.0f64;
-    let mut max_stall = 0.0f64;
-
-    while !waiting.is_empty() || !active.is_empty() {
-        // Admit arrived requests up to the batch cap; a full prefill pass
-        // stalls ongoing decodes for its whole duration (the problem
-        // chunked prefill solves).
-        let mut admitted: Vec<ServingRequest> = Vec::new();
-        while active.len() + admitted.len() < config.max_batch as usize {
-            let admit = waiting
-                .front()
-                .is_some_and(|r| r.arrival_s <= now || active.is_empty() && admitted.is_empty());
-            if !admit {
-                break;
-            }
-            let Some(r) = waiting.pop_front() else { break };
-            admitted.push(r);
-        }
-        if !admitted.is_empty() {
-            let start = now.max(admitted.iter().map(|r| r.arrival_s).fold(0.0, f64::max));
-            let max_prompt = admitted.iter().map(|r| r.prompt_len).max().unwrap_or(1);
-            let t_prefill = backend
-                .prefill_time(model, admitted.len() as u64, max_prompt)
-                .as_f64();
-            if !active.is_empty() {
-                max_stall = max_stall.max(t_prefill);
-            }
-            let admitted_b = admitted.len() as u64;
-            let already_running = active.len() as u64;
-            now = start + t_prefill;
-            for r in admitted {
-                generated += 1; // prefill produced the first token
-                let a = Active {
-                    id: r.id,
-                    arrival_s: r.arrival_s,
-                    context: r.prompt_len + 1,
-                    remaining: r.gen_len - 1,
-                    first_token_s: now,
-                    dispatch_s: start,
-                    batch_at_dispatch: already_running + admitted_b,
-                    decode_steps: 0,
-                };
-                // A single-token request is fully served by its prefill —
-                // retiring it here (instead of letting it ride one decode
-                // iteration) keeps e2e equal to what the phase costs say,
-                // and in agreement with the cluster engine's charging.
-                if a.remaining == 0 {
-                    outcomes.push(RequestOutcome {
-                        id: a.id,
-                        queue_delay_s: (a.first_token_s - a.arrival_s).max(0.0),
-                        ttft_s: a.first_token_s - a.arrival_s,
-                        e2e_s: now - a.arrival_s,
-                    });
-                    if sink.enabled() {
-                        sink.record(span_of(&a, now));
-                    }
-                } else {
-                    active.push(a);
-                }
-            }
-        }
-        if active.is_empty() {
-            continue;
-        }
-        // One decode iteration for the whole running batch.
-        let b = active.len() as u64;
-        let kv = active.iter().map(|a| a.context).max().unwrap_or(1);
-        // Requests with nothing left to generate complete immediately.
-        let mut still_running = Vec::with_capacity(active.len());
-        let step = steps.step_s(backend, model, b, kv);
-        max_stall = max_stall.max(step);
-        now += step;
-        for mut a in active.drain(..) {
-            if a.remaining > 0 {
-                a.remaining -= 1;
-                a.context += 1;
-                a.decode_steps += 1;
-                generated += 1;
-            }
-            if a.remaining == 0 {
-                outcomes.push(RequestOutcome {
-                    id: a.id,
-                    queue_delay_s: (a.first_token_s - a.arrival_s).max(0.0),
-                    ttft_s: a.first_token_s - a.arrival_s,
-                    e2e_s: now - a.arrival_s,
-                });
-                if sink.enabled() {
-                    sink.record(span_of(&a, now));
-                }
-            } else {
-                still_running.push(a);
-            }
-        }
-        active = still_running;
-    }
-    ServingReport {
-        policy: SchedulingPolicy::IterationLevel,
-        outcomes,
-        makespan_s: now,
-        generated_tokens: generated,
-        max_decode_stall_s: max_stall,
-    }
-}
-
-/// A request whose prompt is still being chunk-prefilled.
-#[derive(Debug, Clone, Copy)]
-struct Prefilling {
-    req: ServingRequest,
-    remaining_prompt: u64,
-    /// When the first chunk began (span bookkeeping only).
-    dispatch_s: f64,
-}
-
-fn simulate_chunked<B: CostModel + ?Sized>(
-    backend: &B,
-    model: &ModelConfig,
-    config: &ServingConfig,
-    requests: &[ServingRequest],
-    chunk_tokens: u64,
-    sink: &mut dyn SpanSink,
-) -> ServingReport {
-    let mut steps = StepTable::new();
-    let mut waiting: VecDeque<ServingRequest> = requests.iter().copied().collect();
-    let mut active: Vec<Active> = Vec::new();
-    let mut prefilling: Option<Prefilling> = None;
-    let mut outcomes = Vec::with_capacity(requests.len());
-    let mut generated = 0u64;
-    let mut now = 0.0f64;
-    let mut max_stall = 0.0f64;
-
-    while !waiting.is_empty() || !active.is_empty() || prefilling.is_some() {
-        // Admit one request into the prefilling slot when there is room.
-        if prefilling.is_none() && active.len() < config.max_batch as usize {
-            if let Some(r) = waiting.front().copied() {
-                if r.arrival_s <= now || active.is_empty() {
-                    waiting.pop_front();
-                    now = now.max(r.arrival_s);
-                    prefilling = Some(Prefilling {
-                        req: r,
-                        remaining_prompt: r.prompt_len,
-                        dispatch_s: now,
-                    });
-                }
-            }
-        }
-        if prefilling.is_none() && active.is_empty() {
-            continue; // jump handled at admission
-        }
-
-        // One fused iteration: a prompt chunk (if any) plus one decode step
-        // for the running batch. Decode tokens piggyback on the chunk's
-        // GEMMs, paying a modest interference surcharge.
-        let decode_b = active.len() as u64;
-        let iter_cost = match (&mut prefilling, decode_b) {
-            (Some(p), b) => {
-                let chunk = p.remaining_prompt.min(chunk_tokens);
-                let chunk_cost = backend.prefill_time(model, 1, chunk).as_f64();
-                let piggyback = if b > 0 {
-                    0.25 * steps.step_s(backend, model, b, 1 + p.req.prompt_len)
-                } else {
-                    0.0
-                };
-                p.remaining_prompt -= chunk;
-                chunk_cost + piggyback
-            }
-            (None, b) => {
-                let kv = active.iter().map(|a| a.context).max().unwrap_or(1);
-                steps.step_s(backend, model, b.max(1), kv)
-            }
-        };
-        if !active.is_empty() {
-            max_stall = max_stall.max(iter_cost);
-        }
-        now += iter_cost;
-
-        // Prefill completion → join the decode batch with its first token.
-        if let Some(p) = prefilling {
-            if p.remaining_prompt == 0 {
-                generated += 1;
-                let a = Active {
-                    id: p.req.id,
-                    arrival_s: p.req.arrival_s,
-                    context: p.req.prompt_len + 1,
-                    remaining: p.req.gen_len - 1,
-                    first_token_s: now,
-                    dispatch_s: p.dispatch_s,
-                    batch_at_dispatch: active.len() as u64 + 1,
-                    decode_steps: 0,
-                };
-                // Single-token requests finish with their prefill (see
-                // the iteration-level scheduler).
-                if a.remaining == 0 {
-                    outcomes.push(RequestOutcome {
-                        id: a.id,
-                        queue_delay_s: (a.first_token_s - a.arrival_s).max(0.0),
-                        ttft_s: a.first_token_s - a.arrival_s,
-                        e2e_s: now - a.arrival_s,
-                    });
-                    if sink.enabled() {
-                        sink.record(span_of(&a, now));
-                    }
-                } else {
-                    active.push(a);
-                }
-                prefilling = None;
-            }
-        }
-
-        // Decode progress for everyone who was active this iteration.
-        let mut still = Vec::with_capacity(active.len());
-        for mut a in active.drain(..) {
-            if a.first_token_s >= now {
-                // Joined at the end of this iteration; decodes next time.
-                still.push(a);
-                continue;
-            }
-            if a.remaining > 0 {
-                a.remaining -= 1;
-                a.context += 1;
-                a.decode_steps += 1;
-                generated += 1;
-            }
-            if a.remaining == 0 {
-                outcomes.push(RequestOutcome {
-                    id: a.id,
-                    queue_delay_s: (a.first_token_s - a.arrival_s).max(0.0),
-                    ttft_s: a.first_token_s - a.arrival_s,
-                    e2e_s: now - a.arrival_s,
-                });
-                if sink.enabled() {
-                    sink.record(span_of(&a, now));
-                }
-            } else {
-                still.push(a);
-            }
-        }
-        active = still;
-    }
-    ServingReport {
-        policy: SchedulingPolicy::ChunkedPrefill { chunk_tokens },
-        outcomes,
-        makespan_s: now,
         generated_tokens: generated,
         max_decode_stall_s: max_stall,
     }
@@ -794,6 +536,11 @@ mod tests {
                     .expect("every outcome has a span");
                 assert!((s.ttft_s() - o.ttft_s).abs() < 1e-9, "{policy}");
                 assert!((s.e2e_s() - o.e2e_s).abs() < 1e-9, "{policy}");
+                assert_eq!(
+                    s.queue_delay_s.to_bits(),
+                    o.queue_delay_s.to_bits(),
+                    "{policy}: outcome and span disagree on the wait before prefill"
+                );
                 let phase_sum = s.queue_delay_s + s.prefill_s() + s.decode_s;
                 assert!(
                     (phase_sum - s.e2e_s()).abs() < 1e-9,

@@ -7,7 +7,7 @@ use llmsim_core::resilience::{
     RetryPolicy, SloPolicy, TerminalState,
 };
 use llmsim_core::serving::{self, SchedulingPolicy, ServingConfig, ServingRequest};
-use llmsim_core::{CpuBackend, SimError};
+use llmsim_core::{CpuBackend, ResilienceReport, ServingReport, SimError};
 use llmsim_model::families;
 use proptest::prelude::*;
 
@@ -63,6 +63,62 @@ fn stressed_config(policy: SchedulingPolicy, seed: u64) -> ResilienceConfig {
     }
 }
 
+/// `requests` through `serving::simulate` and through `simulate_resilient`
+/// under passthrough.
+fn both_entry_points(
+    model: &llmsim_model::ModelConfig,
+    serving_cfg: ServingConfig,
+    reqs: &[ServingRequest],
+) -> (ServingReport, ResilienceReport) {
+    let plain = serving::simulate(&backend(), model, &serving_cfg, reqs);
+    let resilient = simulate_resilient(
+        &backend(),
+        model,
+        &ResilienceConfig::passthrough(serving_cfg, 1234),
+        reqs,
+    )
+    .expect("iteration-level policies are supported");
+    (plain, resilient)
+}
+
+/// Every outcome and aggregate of the two entry points agrees bit for bit.
+fn assert_entry_points_agree(plain: &ServingReport, resilient: &ResilienceReport) {
+    let policy = plain.policy;
+    assert_eq!(plain.outcomes.len(), resilient.outcomes.len(), "{policy}");
+    for (p, r) in plain.outcomes.iter().zip(&resilient.outcomes) {
+        assert_eq!(p.id, r.id, "{policy}: completion order must match");
+        assert_eq!(r.state, TerminalState::Completed, "{policy}");
+        assert_eq!(
+            p.queue_delay_s.to_bits(),
+            r.queue_delay_s.to_bits(),
+            "{policy}"
+        );
+        assert_eq!(
+            p.ttft_s.to_bits(),
+            r.ttft_s.expect("completed").to_bits(),
+            "{policy}"
+        );
+        assert_eq!(p.e2e_s.to_bits(), r.e2e_s.to_bits(), "{policy}");
+    }
+    assert_eq!(
+        plain.makespan_s.to_bits(),
+        resilient.makespan_s.to_bits(),
+        "{policy}"
+    );
+    assert_eq!(
+        plain.generated_tokens, resilient.generated_tokens,
+        "{policy}"
+    );
+    assert_eq!(
+        plain.max_decode_stall_s.to_bits(),
+        resilient.max_decode_stall_s.to_bits(),
+        "{policy}"
+    );
+    assert_eq!(resilient.faults_injected, 0, "{policy}");
+    assert_eq!(resilient.retries, 0, "{policy}");
+    assert_eq!(resilient.preemptions, 0, "{policy}");
+}
+
 #[test]
 fn passthrough_matches_plain_simulator_exactly() {
     // The acceptance bar: fault rate 0 + no deadlines reproduces the plain
@@ -74,48 +130,64 @@ fn passthrough_matches_plain_simulator_exactly() {
             max_batch: 4,
             policy,
         };
-        let plain = serving::simulate(&backend(), &model, &serving_cfg, &reqs);
-        let resilient = simulate_resilient(
-            &backend(),
-            &model,
-            &ResilienceConfig::passthrough(serving_cfg, 1234),
-            &reqs,
-        )
-        .expect("iteration-level policies are supported");
+        let (plain, resilient) = both_entry_points(&model, serving_cfg, &reqs);
+        assert_entry_points_agree(&plain, &resilient);
+    }
+}
 
-        assert_eq!(plain.outcomes.len(), resilient.outcomes.len(), "{policy}");
-        for (p, r) in plain.outcomes.iter().zip(&resilient.outcomes) {
-            assert_eq!(p.id, r.id, "{policy}: completion order must match");
-            assert_eq!(r.state, TerminalState::Completed, "{policy}");
-            assert_eq!(
-                p.queue_delay_s.to_bits(),
-                r.queue_delay_s.to_bits(),
-                "{policy}"
-            );
-            assert_eq!(
-                p.ttft_s.to_bits(),
-                r.ttft_s.expect("completed").to_bits(),
-                "{policy}"
-            );
-            assert_eq!(p.e2e_s.to_bits(), r.e2e_s.to_bits(), "{policy}");
-        }
+#[test]
+fn one_token_request_retires_at_its_prefill() {
+    // A request that wants one token gets it from its prefill and is done:
+    // on an idle server its e2e is exactly the prefill's cost, under both
+    // entry points and both continuous-batching policies.
+    let model = families::opt_1_3b();
+    let prefill = backend().prefill_time(&model, 1, 64).as_f64();
+    let lone = [ServingRequest {
+        id: 0,
+        arrival_s: 0.0,
+        prompt_len: 64,
+        gen_len: 1,
+    }];
+    for policy in [
+        SchedulingPolicy::IterationLevel,
+        SchedulingPolicy::ChunkedPrefill { chunk_tokens: 64 },
+        SchedulingPolicy::ChunkedPrefill { chunk_tokens: 256 },
+    ] {
+        let serving_cfg = ServingConfig {
+            max_batch: 3,
+            policy,
+        };
+        let (plain, resilient) = both_entry_points(&model, serving_cfg, &lone);
         assert_eq!(
-            plain.makespan_s.to_bits(),
-            resilient.makespan_s.to_bits(),
+            plain.outcomes[0].e2e_s.to_bits(),
+            prefill.to_bits(),
             "{policy}"
         );
         assert_eq!(
-            plain.generated_tokens, resilient.generated_tokens,
+            resilient.outcomes[0].e2e_s.to_bits(),
+            prefill.to_bits(),
             "{policy}"
         );
-        assert_eq!(
-            plain.max_decode_stall_s.to_bits(),
-            resilient.max_decode_stall_s.to_bits(),
-            "{policy}"
-        );
-        assert_eq!(resilient.faults_injected, 0, "{policy}");
-        assert_eq!(resilient.retries, 0, "{policy}");
-        assert_eq!(resilient.preemptions, 0, "{policy}");
+    }
+
+    // One-token requests next to a longer one, alone and joining late.
+    let reqs: Vec<ServingRequest> = [(0.0, 64, 1), (0.0, 64, 8), (0.5, 32, 1)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(arrival_s, prompt_len, gen_len))| ServingRequest {
+            id: i as u64,
+            arrival_s,
+            prompt_len,
+            gen_len,
+        })
+        .collect();
+    for policy in policies() {
+        let serving_cfg = ServingConfig {
+            max_batch: 3,
+            policy,
+        };
+        let (plain, resilient) = both_entry_points(&model, serving_cfg, &reqs);
+        assert_entry_points_agree(&plain, &resilient);
     }
 }
 
