@@ -30,14 +30,13 @@
 //!   every arrival, in-flight records moved through queues by value, and
 //!   one heap holding every pending arrival. Views are now built once and
 //!   refreshed in place: an arrival makes one memo lookup per backend
-//!   group rather than per replica, reads residency from a (replica,
-//!   model) table built at setup, and admission reuses the routed view's
-//!   estimate; a dispatch without prefix hits reads prefill and service
-//!   from one memo entry. In-flight records live in a generation-stamped
-//!   [`Slab`] with replicas holding 8-byte keys (see `slab.rs`), and the
-//!   [`EventQueue`] keeps every event pushed at setup (arrivals, faults,
-//!   warmups) in a sorted run beside a heap of in-flight work (see
-//!   `event.rs`).
+//!   group rather than per replica, and admission reuses the routed
+//!   view's estimate; a dispatch without prefix hits reads prefill and
+//!   service from one memo entry. In-flight records live in a
+//!   generation-stamped [`Slab`] with replicas holding 8-byte keys (see
+//!   `slab.rs`), and the [`EventQueue`] keeps every event pushed at setup
+//!   (arrivals, faults, warmups) in a sorted run beside a heap of
+//!   in-flight work (see `event.rs`).
 //! - **Linear stale-event filtering** — completions scanned `active` and
 //!   compared crash epochs. A [`SlotKey`]'s generation now proves
 //!   liveness in one lookup; crashes and hedge cancellations invalidate
@@ -213,13 +212,31 @@ impl ClusterConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnsupportedConfig`] when a replica's `queue_cap`
-    /// is zero or smaller than its `max_batch` (the batch could never fill
-    /// — historically this truncated silently), when `max_batch` is zero,
-    /// or when paged KV is enabled with a zero block size or a replica
-    /// whose memory budget holds zero blocks.
+    /// Returns [`llmsim_core::SimError::UnsupportedConfig`] when a
+    /// replica's `queue_cap` is zero or smaller than its `max_batch` (the
+    /// batch could never fill — historically this truncated silently),
+    /// when `max_batch` is zero, when paged KV is enabled with a zero
+    /// block size or a replica whose memory budget holds zero blocks, or
+    /// when hedging is on with a negative or non-finite `after_frac` or
+    /// SLO `e2e_s` (the twin would fire before its request arrived, or
+    /// never).
     pub fn validate(&self) -> Result<(), llmsim_core::SimError> {
         use llmsim_core::SimError::UnsupportedConfig;
+        if let Some(hedge) = self.chaos.as_ref().and_then(|c| c.hedge) {
+            // Without an SLO the deadline is a service estimate, which the
+            // cost model keeps finite and non-negative.
+            let deadline_s = self.slo.map_or(0.0, |slo| slo.e2e_s);
+            for (name, x) in [
+                ("hedge after_frac", hedge.after_frac),
+                ("SLO e2e_s (the hedge deadline)", deadline_s),
+            ] {
+                if !x.is_finite() || x < 0.0 {
+                    return Err(UnsupportedConfig(format!(
+                        "{name} must be finite and non-negative, got {x}"
+                    )));
+                }
+            }
+        }
         for (i, r) in self.replicas.iter().enumerate() {
             if r.max_batch == 0 {
                 return Err(UnsupportedConfig(format!(
@@ -515,10 +532,6 @@ struct Engine<'a> {
     /// for each prefix-hit length already priced on a backend group, so
     /// replicas of one group with equal hits share one prefill lookup.
     saved_est: Vec<(usize, u64, f64)>,
-    /// `resident[replica * models + model]`: whether the replica's backend
-    /// holds the model resident (`CostModel::holds_resident` is pure, so
-    /// it is asked once per pair at setup).
-    resident: Vec<bool>,
     runtime: Vec<ReqRuntime>,
     outcomes: Vec<Option<ClusterOutcome>>,
     resolved: usize,
@@ -544,9 +557,10 @@ impl<'a> Engine<'a> {
 
     /// Routes one attempt of `req` at `now_s`: refreshes the fleet
     /// snapshot (hiding `exclude`d replicas — those already hosting an
-    /// attempt of this request), asks the policy, and re-validates the
-    /// choice. Returns the chosen replica and its view's batch-1 service
-    /// estimate, which admission reuses.
+    /// attempt of this request), asks the policy, and keeps its choice
+    /// only when that replica's view can accept. Returns the chosen
+    /// replica and its view's batch-1 service estimate, which admission
+    /// reuses.
     fn route_once(
         &mut self,
         req: &ClusterRequest,
@@ -560,7 +574,6 @@ impl<'a> Engine<'a> {
             *est = self.cache.service(g, req, 1);
         }
         self.saved_est.clear();
-        let models = self.config.models.len();
         for (i, r) in self.replicas.iter().enumerate() {
             let routable = r.routable(now_s);
             let v = &mut self.views[i];
@@ -584,58 +597,38 @@ impl<'a> Engine<'a> {
                 0
             };
             v.outstanding_tokens = r.outstanding_tokens;
-            v.warm = r.state == ReplicaState::Warm;
-            v.warmup_remaining_s = r.warmup_remaining_s(now_s);
             v.est_start_delay_s = r.est_start_delay_s(now_s);
             let group = self.cache.group_of(i);
             v.est_service_s = self.group_est[group].1;
-            v.resident = self.resident[i * models + req.model];
-            // Prefix-cache signals (zeros / false on the fixed-slot path,
-            // so cache-aware policies degrade gracefully without KV).
-            if let Some(kv) = &r.kv {
-                let probe = kv.probe(req);
-                let hit_tokens = probe.hit_blocks * kv.block_tokens;
-                v.predicted_hit_tokens = hit_tokens;
-                // The prefill the hits skip: the full prompt's (the
-                // group's batch-1 estimate) minus the uncovered suffix's.
-                v.est_prefix_saved_s = if hit_tokens == 0 {
-                    0.0
-                } else if let Some(&(.., saved)) = self
-                    .saved_est
-                    .iter()
-                    .find(|&&(g, hits, _)| g == group && hits == hit_tokens)
-                {
-                    saved
-                } else {
-                    let suffix = req.prompt_len.saturating_sub(hit_tokens).max(1);
-                    let suffix_s = self.cache.prefill(group, req.model, 1, suffix);
-                    let saved = (self.group_est[group].0 - suffix_s).max(0.0);
-                    self.saved_est.push((group, hit_tokens, saved));
-                    saved
-                };
-                v.session_resident = probe.session_resident;
-                v.kv_free_blocks = kv.free_blocks + kv.cached_blocks;
-                v.kv_total_blocks = kv.total_blocks;
+            // The prefill the prefix-cache hits skip: the full prompt's
+            // (the group's batch-1 estimate) minus the uncovered
+            // suffix's. Zero on the fixed-slot path, so cache-aware
+            // policies degrade gracefully without KV.
+            let hit_tokens =
+                r.kv.as_ref()
+                    .map_or(0, |kv| kv.probe(req) * kv.block_tokens);
+            v.est_prefix_saved_s = if hit_tokens == 0 {
+                0.0
+            } else if let Some(&(.., saved)) = self
+                .saved_est
+                .iter()
+                .find(|&&(g, hits, _)| g == group && hits == hit_tokens)
+            {
+                saved
             } else {
-                v.predicted_hit_tokens = 0;
-                v.est_prefix_saved_s = 0.0;
-                v.session_resident = false;
-                v.kv_free_blocks = 0;
-                v.kv_total_blocks = 0;
-            }
+                let suffix = req.prompt_len.saturating_sub(hit_tokens).max(1);
+                let suffix_s = self.cache.prefill(group, req.model, 1, suffix);
+                let saved = (self.group_est[group].0 - suffix_s).max(0.0);
+                self.saved_est.push((group, hit_tokens, saved));
+                saved
+            };
         }
+        // The view is the one admission rule: a choice the views hid
+        // (zero `queue_cap`), a full replica or an index past the fleet
+        // is a rejection.
         router
             .route(req, &self.views)
-            .filter(|&i| {
-                i < self.replicas.len()
-                    && self.replicas[i].can_accept(now_s)
-                    && !exclude.contains(&i)
-                    && self.stage_of[i].is_none_or(|p| p.stage == 0)
-                    && self.replicas[i]
-                        .kv
-                        .as_ref()
-                        .is_none_or(|kv| kv.final_blocks(req) <= kv.total_blocks)
-            })
+            .filter(|&i| self.views.get(i).is_some_and(ReplicaView::can_accept))
             .map(|i| (i, self.views[i].est_service_s))
     }
 
@@ -697,7 +690,7 @@ impl<'a> Engine<'a> {
                 let head = self.request(front.request);
                 let dispatch_blocks = kv.blocks_for(head.prompt_len + 1);
                 let final_blocks = kv.final_blocks(&head);
-                let hits = kv.probe(&head).hit_blocks;
+                let hits = kv.probe(&head);
                 // Budget the hit blocks too, not just the private suffix:
                 // pinning converts up to `hits` blocks from cached (where
                 // `can_allocate` counts them evictable) to pinned (where
@@ -1197,35 +1190,17 @@ pub fn simulate_fleet_traced(
         cache,
         group_est: vec![(0.0, 0.0); groups],
         saved_est: Vec::new(),
-        resident: config
-            .replicas
-            .iter()
-            .flat_map(|r| config.models.iter().map(|m| r.backend.holds_resident(m)))
-            .collect(),
-        views: replicas
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ReplicaView {
-                idx: i,
+        views: (0..replicas.len())
+            .map(|idx| ReplicaView {
+                idx,
                 now_s: 0.0,
                 queue_len: 0,
                 active: 0,
                 queue_cap: 0,
-                max_batch: r.cfg.max_batch,
                 outstanding_tokens: 0,
-                warm: false,
-                warmup_remaining_s: 0.0,
                 est_start_delay_s: 0.0,
                 est_service_s: 0.0,
-                resident: false,
-                predicted_hit_tokens: 0,
                 est_prefix_saved_s: 0.0,
-                session_resident: false,
-                kv_free_blocks: 0,
-                kv_total_blocks: 0,
-                pipeline_group: stage_of[i].map(|p| p.group),
-                pipeline_stage: stage_of[i].map_or(0, |p| p.stage),
-                pipeline_depth: stage_of[i].map_or(1, |p| p.depth),
             })
             .collect(),
         stage_of,

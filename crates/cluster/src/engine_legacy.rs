@@ -868,20 +868,7 @@ fn view_of(
         // Standbys (and failed, draining or partitioned replicas) are
         // invisible to routers: report zero capacity.
         queue_cap: if routable { replica.cfg.queue_cap } else { 0 },
-        max_batch: replica.cfg.max_batch,
         outstanding_tokens: replica.outstanding_tokens,
-        // The legacy engine predates paged KV and pipeline groups (both
-        // rejected at entry), so their signals are always neutral zeros.
-        predicted_hit_tokens: 0,
-        est_prefix_saved_s: 0.0,
-        session_resident: false,
-        kv_free_blocks: 0,
-        kv_total_blocks: 0,
-        pipeline_group: None,
-        pipeline_stage: 0,
-        pipeline_depth: 1,
-        warm: replica.state == ReplicaState::Warm,
-        warmup_remaining_s: replica.warmup_remaining_s(now_s),
         est_start_delay_s: replica.est_start_delay_s(now_s),
         est_service_s: predict_service_s(
             replica.cfg.backend.as_ref(),
@@ -890,7 +877,9 @@ fn view_of(
             req.prompt_len,
             req.gen_len,
         ),
-        resident: replica.cfg.backend.holds_resident(model),
+        // The legacy engine predates paged KV (rejected at entry), so no
+        // prefix-cache hit ever saves prefill.
+        est_prefix_saved_s: 0.0,
     }
 }
 

@@ -15,7 +15,7 @@
 //! The prefix pool is indexed by chain: one `BTreeMap` lookup per
 //! `(tag, ident)` chain (lint D001 keeps hash maps out), then a `Vec` of
 //! block slots read by position. A request's shareable blocks form at most
-//! two runs of positions, one per chain ([`chain_runs`]), so every walk
+//! two runs of positions, one per chain (`chain_runs`), so every walk
 //! over them looks each chain up once and then reads a slice of its
 //! slots. Resident blocks live in a slab threaded by an intrusive doubly
 //! linked LRU list over the cached ones; a block joins the newest end
@@ -36,8 +36,6 @@ use std::collections::BTreeMap;
 pub struct KvConfig {
     /// Tokens per KV block (vLLM defaults to 16).
     pub block_tokens: u64,
-    /// Dtype of the cached K/V tensors (sets bytes-per-token).
-    pub kv_dtype: DType,
     /// Keep completed sequences' blocks as a refcounted prefix cache. When
     /// off, blocks still page (allocation, growth, preemption) but every
     /// request pays full prefill.
@@ -53,7 +51,6 @@ impl KvConfig {
     pub fn new() -> Self {
         KvConfig {
             block_tokens: 16,
-            kv_dtype: DType::Fp16,
             prefix_caching: true,
             capacity_blocks_override: None,
         }
@@ -63,13 +60,6 @@ impl KvConfig {
     #[must_use]
     pub fn with_block_tokens(mut self, tokens: u64) -> Self {
         self.block_tokens = tokens;
-        self
-    }
-
-    /// Sets the KV dtype.
-    #[must_use]
-    pub fn with_dtype(mut self, dtype: DType) -> Self {
-        self.kv_dtype = dtype;
         self
     }
 
@@ -88,9 +78,9 @@ impl KvConfig {
     }
 
     /// Blocks a replica backend can hold: KV budget after weights, divided
-    /// by the block footprint of the *largest* served model (conservative:
-    /// a heterogeneous model list is sized for its worst case so the pool
-    /// never overcommits).
+    /// by the fp16 block footprint of the *largest* served model
+    /// (conservative: a heterogeneous model list is sized for its worst
+    /// case so the pool never overcommits).
     #[must_use]
     pub fn capacity_blocks(&self, backend: &dyn CostModel, models: &[ModelConfig]) -> u64 {
         if let Some(blocks) = self.capacity_blocks_override {
@@ -98,7 +88,7 @@ impl KvConfig {
         }
         let per_token = models
             .iter()
-            .map(|m| m.kv_bytes_per_token(self.kv_dtype))
+            .map(|m| m.kv_bytes_per_token(DType::Fp16))
             .max()
             .unwrap_or(0)
             .max(1);
@@ -353,16 +343,6 @@ pub(crate) struct KvSeq {
     pub final_blocks: u64,
 }
 
-/// What a replica's pool holds for one request, from [`KvState::probe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct KvProbe {
-    /// Consecutive leading chain blocks of the request's *prompt* that are
-    /// resident: the prefix-cache hit length in blocks.
-    pub hit_blocks: u64,
-    /// Whether any block of the request's session chain is resident.
-    pub session_resident: bool,
-}
-
 /// A replica's paged KV pool: block counters, the refcounted prefix pool
 /// indexed by chain, and its LRU list, plus occupancy telemetry.
 #[derive(Debug, Clone)]
@@ -459,42 +439,34 @@ impl KvState {
         self.blocks_for(req.total_tokens().max(req.prompt_len + 1))
     }
 
-    /// The prefix-cache hit length of `req` and its session residency,
-    /// from at most two chain lookups. Hits are the consecutive leading
-    /// chain blocks of the *prompt* resident right now; only whole blocks
-    /// fully inside the prompt count (a generated token can never hit).
-    /// Residency asks whether the session's chain is indexed at all, not
-    /// whether its block 0 is: a session whose opening blocks a shared
-    /// system prefix covers starts its own chain later, and a chain stays
-    /// indexed exactly while it holds a resident block — the router's cheap
-    /// "is this session's context here" signal.
-    pub(crate) fn probe(&self, req: &ClusterRequest) -> KvProbe {
+    /// The prefix-cache hit length of `req` in blocks, from at most two
+    /// chain lookups: the consecutive leading chain blocks of the *prompt*
+    /// resident right now. Only whole blocks fully inside the prompt count
+    /// (a generated token can never hit), and the session chain is looked
+    /// up only when the prefix run before it is fully resident.
+    pub(crate) fn probe(&self, req: &ClusterRequest) -> u64 {
+        if !self.prefix_caching {
+            return 0;
+        }
         let [prefix, session] = chain_runs(req, self.block_tokens);
-        let session_chain = if req.session == 0 {
-            None
-        } else {
-            self.chains.get(&session.id)
-        };
+        let prompt_blocks = req.prompt_len / self.block_tokens.max(1);
         let mut hit_blocks = 0;
-        if self.prefix_caching {
-            let prompt_blocks = req.prompt_len / self.block_tokens.max(1);
-            let range = prefix.clip(0, prompt_blocks);
-            if !range.is_empty() {
-                hit_blocks = self
-                    .chains
-                    .get(&prefix.id)
-                    .map_or(0, |chain| chain.leading_resident(range.clone()));
+        for run in [prefix, session] {
+            let range = run.clip(hit_blocks, prompt_blocks);
+            if range.is_empty() {
+                continue;
             }
-            // The session run continues only a fully resident prefix run.
-            if hit_blocks == range.len() as u64 {
-                let range = session.clip(hit_blocks, prompt_blocks);
-                hit_blocks += session_chain.map_or(0, |chain| chain.leading_resident(range));
+            let want = range.len() as u64;
+            let got = self
+                .chains
+                .get(&run.id)
+                .map_or(0, |chain| chain.leading_resident(range));
+            hit_blocks += got;
+            if got < want {
+                break;
             }
         }
-        KvProbe {
-            hit_blocks,
-            session_resident: session_chain.is_some(),
-        }
+        hit_blocks
     }
 
     /// Whether `needed` fresh blocks can be produced from free + evictable
@@ -735,7 +707,7 @@ impl KvState {
 /// `BTreeMap` as the LRU index, with ages from a monotonic use counter.
 #[cfg(test)]
 mod reference {
-    use super::{chain_ident, chain_key, BlockKey};
+    use super::{chain_key, BlockKey};
     use crate::engine::ClusterRequest;
     use std::collections::BTreeMap;
 
@@ -793,17 +765,6 @@ mod reference {
                 }
             }
             hits
-        }
-
-        pub fn session_resident(&self, req: &ClusterRequest) -> bool {
-            if req.session == 0 {
-                return false;
-            }
-            let ident = chain_ident(req.model, req.session);
-            self.pool
-                .range((1, ident, 0)..=(1, ident, u32::MAX))
-                .next()
-                .is_some()
         }
 
         pub fn can_allocate(&self, needed: u64) -> bool {
@@ -976,7 +937,7 @@ mod tests {
         assert_eq!(kv.cached_blocks, 3);
         // Turn 2 of the same session: prompt = 48 prior tokens + 16 new.
         let turn2 = req(64, 8, 0, 0, 5);
-        assert_eq!(kv.probe(&turn2).hit_blocks, 3);
+        assert_eq!(kv.probe(&turn2), 3);
         kv.pin_hits(&turn2, 3, 2.0);
         assert_eq!((kv.pinned_blocks, kv.cached_blocks), (3, 0));
         kv.release_hits(&turn2, 3, 3.0);
@@ -997,8 +958,17 @@ mod tests {
         assert!(kv.can_allocate(2));
         kv.allocate_private(2, 4.0);
         kv.assert_conserved();
-        assert_eq!(kv.probe(&req(32, 0, 0, 0, 1)).hit_blocks, 0); // block 0 evicted
-        assert!(kv.probe(&b).session_resident); // newer chain survives
+        // Session 1 lost blocks 0 and 1, so its prompt hits nothing; only
+        // its youngest block and session 2's newer chain stay.
+        assert_eq!(kv.probe(&req(32, 0, 0, 0, 1)), 0);
+        assert_eq!(kv.probe(&b), 1);
+        assert_eq!(
+            kv.resident_blocks(),
+            [
+                ((1, chain_ident(0, 1), 2), 0),
+                ((1, chain_ident(0, 2), 0), 0)
+            ]
+        );
     }
 
     #[test]
@@ -1010,7 +980,7 @@ mod tests {
         kv.assert_conserved();
         assert_eq!(kv.cached_blocks, 0);
         assert_eq!(kv.free_blocks, 8);
-        assert_eq!(kv.probe(&r).hit_blocks, 0);
+        assert_eq!(kv.probe(&r), 0);
     }
 
     #[test]
@@ -1019,11 +989,13 @@ mod tests {
         let r = req(32, 16, 0, 0, 6);
         kv.allocate_private(3, 0.0);
         kv.commit_chain(&r, 0, 3, 1.0);
-        kv.pin_hits(&req(48, 8, 0, 0, 6), 3, 2.0);
+        let turn2 = req(48, 8, 0, 0, 6);
+        kv.pin_hits(&turn2, 3, 2.0);
         kv.reset(3.0);
         kv.assert_conserved();
         assert_eq!(kv.free_blocks, 8);
-        assert!(!kv.probe(&r).session_resident);
+        assert!(kv.resident_blocks().is_empty());
+        assert_eq!(kv.probe(&turn2), 0);
         assert!(kv.peak_in_use >= 3);
     }
 
@@ -1105,11 +1077,7 @@ mod tests {
         // Same cached keys in the same order: the list is in age order.
         assert_eq!(kv.lru_keys(), oracle.lru_keys());
         for r in shapes {
-            let expected = KvProbe {
-                hit_blocks: oracle.probe_hits(r),
-                session_resident: oracle.session_resident(r),
-            };
-            assert_eq!(kv.probe(r), expected, "{r:?}");
+            assert_eq!(kv.probe(r), oracle.probe_hits(r), "{r:?}");
         }
     }
 
@@ -1171,7 +1139,7 @@ mod tests {
                     // Probe and pin a shape's resident prefix.
                     0 => {
                         let req = reqs[which % reqs.len()];
-                        let hits = kv.probe(&req).hit_blocks;
+                        let hits = kv.probe(&req);
                         prop_assert_eq!(hits, oracle.probe_hits(&req));
                         kv.pin_hits(&req, hits, 0.0);
                         oracle.pin_hits(&req, hits);

@@ -252,12 +252,6 @@ impl FleetReport {
         percentile(&self.collect(|o| o.e2e_s), p)
     }
 
-    /// Queue-delay percentile over completed requests.
-    #[must_use]
-    pub fn queue_delay_percentile(&self, p: f64) -> f64 {
-        percentile(&self.collect(|o| o.queue_delay_s), p)
-    }
-
     fn collect<F: Fn(&ClusterOutcome) -> Option<f64>>(&self, f: F) -> Vec<f64> {
         self.outcomes.iter().filter_map(f).collect()
     }

@@ -2,10 +2,10 @@
 //!
 //! `llmsim-workload`'s [`replay`](llmsim_workload::replay) module parses
 //! Azure-LLM/BurstGPT-style CSVs into neutral [`ReplayRequest`]s; this
-//! module resolves their model *names* against a [`ClusterConfig`]'s
-//! model list and produces the [`ClusterRequest`] stream `simulate_fleet`
-//! consumes — the step that lets a production trace drive the fleet
-//! instead of synthetic MMPP.
+//! module resolves their model *names* against a
+//! [`ClusterConfig`](crate::ClusterConfig)'s model list and produces the
+//! [`ClusterRequest`] stream `simulate_fleet` consumes — the step that
+//! lets a production trace drive the fleet instead of synthetic MMPP.
 
 use crate::engine::ClusterRequest;
 use llmsim_model::ModelConfig;
@@ -76,15 +76,15 @@ pub fn bind_requests(
 }
 
 /// Parses a raw trace and binds it to `models` in one step, folding both
-/// failure modes into [`SimError::InvalidRequest`] so fleet drivers have a
-/// single error type to surface (the orphan rule keeps this a function
-/// rather than `From` impls: neither `TraceParseError` nor `SimError` is
-/// defined in this crate).
+/// failure modes into [`llmsim_core::SimError::InvalidRequest`] so fleet
+/// drivers have a single error type to surface (the orphan rule keeps
+/// this a function rather than `From` impls: neither `TraceParseError`
+/// nor `SimError` is defined in this crate).
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InvalidRequest`] describing the parse failure or
-/// the first unserved model name.
+/// Returns [`llmsim_core::SimError::InvalidRequest`] describing the parse
+/// failure or the first unserved model name.
 pub fn parse_and_bind(
     text: &str,
     models: &[ModelConfig],

@@ -293,11 +293,6 @@ impl Replica {
         self.queue.len() + self.active.len()
     }
 
-    /// Whether the router may add another request at `now_s`.
-    pub(crate) fn can_accept(&self, now_s: f64) -> bool {
-        self.routable(now_s) && self.in_flight() < self.cfg.queue_cap
-    }
-
     /// Whether the replica is visible to the router at `now_s`: standbys,
     /// crashed replicas, draining replicas, and partitioned replicas are
     /// all invisible (a partition hides an otherwise-healthy replica for

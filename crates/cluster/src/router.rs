@@ -1,18 +1,21 @@
 //! Pluggable routing policies: where does the next request go?
 //!
 //! Routers see the fleet only through [`ReplicaView`] snapshots — queue
-//! depths, outstanding tokens, warmup state, and per-replica latency
-//! predictions computed from the backends' own `prefill_time` /
-//! `decode_step_time` cost models. [`HeteroAware`] turns the paper's
-//! Fig. 17/19 fits-vs-offloads crossover into a routing rule: a large
-//! offloaded model predicts catastrophically slow decode on a GPU replica
-//! and lands on a CPU replica instead, while small resident models go the
-//! other way.
+//! depths, outstanding tokens, start delays (warmup included), and
+//! per-replica latency predictions computed from the backends' own
+//! `prefill_time` / `decode_step_time` cost models. [`HeteroAware`]
+//! turns the paper's Fig. 17/19 fits-vs-offloads crossover into a
+//! routing rule: a large offloaded model predicts catastrophically slow
+//! decode on a GPU replica and lands on a CPU replica instead, while
+//! small resident models go the other way.
 
 use crate::engine::ClusterRequest;
 use llmsim_core::resilience::SimRng;
 
-/// A router-visible snapshot of one replica at one arrival instant.
+/// A router-visible snapshot of one replica at one routing instant.
+///
+/// Views carry only what the built-in policies read; a policy that needs
+/// another signal adds the field together with its first reader.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicaView {
     /// Fleet index (stable across the run).
@@ -23,49 +26,30 @@ pub struct ReplicaView {
     pub queue_len: usize,
     /// Requests in service.
     pub active: usize,
-    /// In-flight capacity (waiting + serving).
+    /// In-flight capacity (waiting + serving); zero when the replica may
+    /// not take this request (see [`ReplicaView::can_accept`]).
     pub queue_cap: usize,
-    /// Concurrent sequences served at once.
-    pub max_batch: u64,
     /// Prompt + generation tokens across waiting and in-service requests.
     pub outstanding_tokens: u64,
-    /// Whether the replica is warm right now.
-    pub warm: bool,
-    /// Seconds of warmup remaining (0 when warm).
-    pub warmup_remaining_s: f64,
-    /// Estimated delay until a newly-routed request starts service.
+    /// Estimated delay until a newly-routed request starts service
+    /// (including any remaining warmup).
     pub est_start_delay_s: f64,
     /// Predicted single-stream service time of *this* request on this
-    /// replica (prefill + decode from the backend's cost model).
+    /// replica (prefill + decode from the backend's cost model). An
+    /// offloaded model predicts a slow decode here: the Fig. 17/19 signal.
     pub est_service_s: f64,
-    /// Whether this request's model serves weight-resident here (false =
-    /// offloaded/streamed — the Fig. 17/19 signal).
-    pub resident: bool,
-    /// Prompt tokens of *this* request predicted to hit this replica's
-    /// prefix cache (0 without paged KV).
-    pub predicted_hit_tokens: u64,
-    /// Predicted prefill seconds saved by those hits (0 without paged KV
-    /// — so prefix-aware policies degrade to latency-aware ones).
+    /// Predicted prefill seconds this replica's resident prefix-cache
+    /// blocks would save *this* request (0 without paged KV — so
+    /// prefix-aware policies degrade to latency-aware ones).
     pub est_prefix_saved_s: f64,
-    /// Whether this request's session still has cached context here.
-    pub session_resident: bool,
-    /// KV blocks obtainable right now (free + evictable; 0 without
-    /// paged KV).
-    pub kv_free_blocks: u64,
-    /// Total KV blocks in this replica's pool (0 without paged KV).
-    pub kv_total_blocks: u64,
-    /// Pipeline group this replica belongs to (`None` outside every
-    /// group). Non-head stages are also hidden via zero `queue_cap`,
-    /// but policies can use this to reason about chain membership.
-    pub pipeline_group: Option<usize>,
-    /// Stage index within the group (0 = head; 0 when ungrouped).
-    pub pipeline_stage: usize,
-    /// Stage count of the group (1 when ungrouped).
-    pub pipeline_depth: usize,
 }
 
 impl ReplicaView {
-    /// Whether the router may place another request here.
+    /// Whether the router may place this request here. The engine keeps
+    /// a policy's choice only when this holds: standbys; failed,
+    /// draining and partitioned replicas; a replica already holding
+    /// this request's other attempt; downstream pipeline stages; and
+    /// pools too small for the request all report zero `queue_cap`.
     #[must_use]
     pub fn can_accept(&self) -> bool {
         self.queue_len + self.active < self.queue_cap
@@ -111,8 +95,8 @@ pub enum HealthSignal {
 /// to reject the request (every acceptable replica is at capacity).
 ///
 /// Policies may keep internal state (e.g. the round-robin cursor); the
-/// engine calls `route` exactly once per arrival, in arrival order, so
-/// stateful policies stay deterministic.
+/// engine calls `route` once per arrival, again for each crash retry and
+/// hedge, always in event order, so stateful policies stay deterministic.
 pub trait RouterPolicy {
     /// Short policy name for reports.
     fn name(&self) -> String;
@@ -274,8 +258,6 @@ impl RouterPolicy for PrefixAware {
 #[derive(Debug)]
 pub struct HealthAware<P> {
     inner: P,
-    /// Consecutive failures needed to eject.
-    threshold: u32,
     /// Base ejection window.
     ejection_s: f64,
     /// Window jitter: actual window is `ejection_s × (1 + frac·U[0,1))`.
@@ -290,6 +272,9 @@ pub struct HealthAware<P> {
     views: Vec<ReplicaView>,
 }
 
+/// Consecutive failures that eject a replica.
+const EJECT_AFTER_FAILURES: u32 = 2;
+
 /// Substream tag for breaker jitter, distinct from the per-replica fault
 /// streams (which use the replica index).
 const HEALTH_JITTER_STREAM: u64 = 0x4845_414C_5448_4A54;
@@ -301,7 +286,6 @@ impl<P: RouterPolicy> HealthAware<P> {
     pub fn new(inner: P, seed: u64) -> Self {
         HealthAware {
             inner,
-            threshold: 2,
             ejection_s: 5.0,
             jitter_frac: 0.5,
             rng: SimRng::derive(seed, HEALTH_JITTER_STREAM),
@@ -310,13 +294,6 @@ impl<P: RouterPolicy> HealthAware<P> {
             probing: Vec::new(),
             views: Vec::new(),
         }
-    }
-
-    /// Overrides the consecutive-failure ejection threshold (≥ 1).
-    #[must_use]
-    pub fn with_threshold(mut self, threshold: u32) -> Self {
-        self.threshold = threshold.max(1);
-        self
     }
 
     /// Overrides the base ejection window.
@@ -337,7 +314,7 @@ impl<P: RouterPolicy> HealthAware<P> {
     /// Whether replica `idx` must be hidden from the inner policy at
     /// `now_s`.
     fn masked(&self, idx: usize, now_s: f64) -> bool {
-        if self.fails[idx] < self.threshold {
+        if self.fails[idx] < EJECT_AFTER_FAILURES {
             return false;
         }
         // Ejected, or half-open with the single probe already in flight.
@@ -365,7 +342,7 @@ impl<P: RouterPolicy> RouterPolicy for HealthAware<P> {
         let choice = self.inner.route(request, &views);
         self.views = views;
         if let Some(i) = choice {
-            if i < self.fails.len() && self.fails[i] >= self.threshold {
+            if i < self.fails.len() && self.fails[i] >= EJECT_AFTER_FAILURES {
                 // The breaker was half-open and this is its probe.
                 self.probing[i] = true;
             }
@@ -384,7 +361,7 @@ impl<P: RouterPolicy> RouterPolicy for HealthAware<P> {
                 self.ensure(replica + 1);
                 self.probing[replica] = false;
                 self.fails[replica] += 1;
-                if self.fails[replica] >= self.threshold {
+                if self.fails[replica] >= EJECT_AFTER_FAILURES {
                     let window_s = self.ejection_s * (1.0 + self.jitter_frac * self.rng.next_f64());
                     self.ejected_until_s[replica] = now_s + window_s;
                 }
@@ -406,21 +383,10 @@ mod tests {
             queue_len: in_flight,
             active: 0,
             queue_cap: cap,
-            max_batch: 4,
             outstanding_tokens: 100 * in_flight as u64,
-            warm: true,
-            warmup_remaining_s: 0.0,
             est_start_delay_s: in_flight as f64,
             est_service_s: 1.0,
-            resident: true,
-            predicted_hit_tokens: 0,
             est_prefix_saved_s: 0.0,
-            session_resident: false,
-            kv_free_blocks: 0,
-            kv_total_blocks: 0,
-            pipeline_group: None,
-            pipeline_stage: 0,
-            pipeline_depth: 1,
         }
     }
 
@@ -469,7 +435,6 @@ mod tests {
         // predicted savings win the tie (emergent affinity).
         let cold = view(0, 1, 4);
         let mut warm_cache = view(1, 1, 4);
-        warm_cache.predicted_hit_tokens = 48;
         warm_cache.est_prefix_saved_s = 0.4;
         let mut r = req();
         r.session = 77;

@@ -1,13 +1,14 @@
 //! Fault-injection integration tests: crash/slowdown/partition/drain
-//! semantics, hedging, retry recovery, recovery-aware autoscaling, and
-//! the documented crash-beats-completion tie-break.
+//! semantics, hedging and its config checks, retry recovery,
+//! recovery-aware autoscaling, and the documented crash-beats-completion
+//! tie-break.
 
 use llmsim_cluster::{
     simulate_fleet, AutoscaleConfig, ChaosConfig, ClusterConfig, ClusterRequest, FaultEvent,
-    FaultKind, HealthAware, JoinShortestQueue, OutcomeState, ReplicaConfig, RoundRobin,
+    FaultKind, HealthAware, JoinShortestQueue, OutcomeState, ReplicaConfig, RoundRobin, SloTargets,
 };
 use llmsim_core::resilience::RetryPolicy;
-use llmsim_core::{CostModel, CpuBackend};
+use llmsim_core::{CostModel, CpuBackend, SimError};
 use llmsim_model::families;
 use std::sync::Arc;
 
@@ -321,4 +322,54 @@ fn autoscaler_replaces_a_crashed_replica_from_standby() {
         report.completed() + report.rejected() + report.failed(),
         reqs.len()
     );
+}
+
+/// Two warm SPR replicas serving OPT-1.3B, hedging after `after_frac` of
+/// the deadline.
+fn hedged_fleet(after_frac: f64) -> ClusterConfig {
+    let replicas = (0..2).map(|_| ReplicaConfig::warm(spr())).collect();
+    ClusterConfig::new(replicas, vec![families::opt_1_3b()])
+        .with_chaos(ChaosConfig::none(1).with_hedge(after_frac))
+}
+
+fn expect_unsupported(config: &ClusterConfig, needle: &str) {
+    match config.validate() {
+        Err(SimError::UnsupportedConfig(msg)) => {
+            assert!(msg.contains(needle), "expected {needle:?} in {msg:?}");
+        }
+        other => panic!("expected UnsupportedConfig({needle:?}), got {other:?}"),
+    }
+}
+
+#[test]
+fn validate_rejects_a_negative_hedge_fraction() {
+    expect_unsupported(&hedged_fleet(-0.5), "after_frac");
+    assert!(hedged_fleet(0.0).validate().is_ok(), "hedging at arrival");
+}
+
+#[test]
+fn validate_rejects_a_non_finite_hedge_fraction() {
+    for frac in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        expect_unsupported(&hedged_fleet(frac), "after_frac");
+    }
+}
+
+#[test]
+fn validate_rejects_a_bad_hedge_deadline() {
+    let slo = |e2e_s| SloTargets { ttft_s: 1.0, e2e_s };
+    for e2e_s in [-1.0, f64::NAN, f64::INFINITY] {
+        expect_unsupported(&hedged_fleet(0.25).with_slo(slo(e2e_s)), "e2e_s");
+        // Without hedging the SLO is only a goodput threshold.
+        assert!(fleet(2).with_slo(slo(e2e_s)).validate().is_ok());
+    }
+}
+
+/// A hedge that fires before its request arrives would dispatch in the
+/// past and win, reporting negative queue delay and TTFT: the replay
+/// refuses the config instead.
+#[test]
+#[should_panic(expected = "invalid cluster config")]
+fn negative_hedge_fraction_panics_instead_of_reporting_negative_latencies() {
+    let reqs: Vec<ClusterRequest> = (0..3).map(|i| req(i, i as f64 * 0.01)).collect();
+    simulate_fleet(&hedged_fleet(-0.5), &mut RoundRobin::new(), &reqs);
 }

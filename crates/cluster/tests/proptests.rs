@@ -311,21 +311,10 @@ proptest! {
                 queue_len: in_flight.min(cap),
                 active: 0,
                 queue_cap: cap,
-                max_batch: 4,
                 outstanding_tokens: 64 * in_flight as u64,
-                predicted_hit_tokens: 0,
-                est_prefix_saved_s: 0.0,
-                session_resident: false,
-                kv_free_blocks: 0,
-                kv_total_blocks: 0,
-                pipeline_group: None,
-                pipeline_stage: 0,
-                pipeline_depth: 1,
-                warm: true,
-                warmup_remaining_s: 0.0,
                 est_start_delay_s: in_flight as f64,
                 est_service_s: 1.0,
-                resident: true,
+                est_prefix_saved_s: 0.0,
             })
             .collect();
         let req = ClusterRequest {

@@ -48,10 +48,10 @@ pub trait Backend {
 /// returns the same value, bit for bit, however often and in whatever
 /// order it is asked. Serving loops rely on this to price each step once
 /// ([`crate::pricing::StepTable`]) and to memoize whole service times,
-/// the cluster engine asks `holds_resident` once per replica and model at
-/// setup, and every warmup and KV-pool sizing re-asks the other two and
-/// expects the same answer. So an implementation must not read mutable
-/// state (a clock, a counter, a random stream) into any of them.
+/// and every warmup and KV-pool sizing re-asks `weight_bytes` and
+/// `kv_capacity_bytes` and expects the same answer. So an implementation
+/// must not read mutable state (a clock, a counter, a random stream) into
+/// any of them.
 pub trait CostModel: Backend {
     /// Wall-clock cost of one prefill pass: `batch` prompts of
     /// `prompt_len` tokens. Pure (see the trait docs).

@@ -1,6 +1,6 @@
 //! Board-power specifications and a simple utilization-scaled energy model
 //! (supports the cost/efficiency discussion around footnote 1 and the
-//! power-management work the paper cites as [43]).
+//! power-management work the paper cites as \[43\]).
 
 use crate::units::Seconds;
 use std::fmt;

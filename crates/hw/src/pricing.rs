@@ -63,7 +63,7 @@ pub fn a100_40gb_price() -> UsDollars {
     UsDollars::new(15_000.0)
 }
 
-/// NVIDIA H100-80GB street price (Tom's Hardware, cited as ref. [41]:
+/// NVIDIA H100-80GB street price (Tom's Hardware, cited as ref. \[41\]:
 /// "cost up to four times more than AMD's competing MI300X ... beyond
 /// $40,000").
 #[must_use]

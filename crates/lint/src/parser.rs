@@ -5,7 +5,7 @@
 //! three hard guarantees the rules (and the proptest suite) rely on:
 //!
 //! 1. **Never panics, never hangs.** Every loop makes token progress and
-//!    recursion is capped at [`MAX_DEPTH`]; unparseable stretches degrade
+//!    recursion is capped at `MAX_DEPTH`; unparseable stretches degrade
 //!    to [`Expr::Err`] nodes instead of failing the file.
 //! 2. **Reads vs. writes are distinguished where the rules need it.**
 //!    A struct-literal initializer key (`FleetReport { retries: 0, … }`)

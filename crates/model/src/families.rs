@@ -102,7 +102,7 @@ pub fn llama2_70b() -> ModelConfig {
     llama2("LLaMA2-70B", 80, 8192, 64, 8, 28_672)
 }
 
-/// Llama-3 8B (the paper cites the Llama-3 release as [36]; these presets
+/// Llama-3 8B (the paper cites the Llama-3 release as \[36\]; these presets
 /// support forward-looking experiments): GQA with 8 KV heads and a 128k
 /// vocabulary.
 #[must_use]
